@@ -22,8 +22,10 @@ cargo build --release
 # either way (tests/parallel_differential.rs), so both runs must pass. The
 # scheduler-equivalence suite (tests/sched_differential.rs) rides in both
 # passes, pinning fast-forward on/off byte-equality at each thread count.
-NPAR_THREADS=1 cargo test -q
-cargo test -q
+# --workspace runs every member crate's suite too (serde_json, sim, serve,
+# core, apps, ...), not only the root package's.
+NPAR_THREADS=1 cargo test -q --workspace
+cargo test -q --workspace
 # The scheduler-equivalence suite rides again with the timing pass forced
 # parallel (DESIGN.md §13): NPAR_TIMING_THREADS=8 must stay byte-identical
 # to the serial default at 1 and 8 host threads. (The suite's own matrix

@@ -12,7 +12,9 @@
 //! ```
 //!
 //! `status` is one of `done` / `timeout` / `failed` / `shed` / `invalid`
-//! (the last two are refused at submit time and carry an `error` field).
+//! (the last two are refused at submit time and carry an `error` field;
+//! `invalid` also answers a line that does not parse as a request,
+//! including one that is not UTF-8).
 //! Per-shard and fleet-total stats go to stderr on shutdown, which also
 //! spills the result + memo cache when `--cache-dir` (or
 //! `NPAR_SERVE_CACHE`) names a directory — see SERVING.md for the full
@@ -73,10 +75,24 @@ fn main() {
     runner::init();
     let service = Service::start(runner::serve_config());
 
-    // Submit while stdin streams; tickets resolve in the background.
+    // Submit while stdin streams; tickets resolve in the background. Lines
+    // are split as bytes so a non-UTF-8 line is answered `invalid` like any
+    // other unparsable request instead of ending the run.
     let mut submitted = Vec::new();
-    for line in std::io::stdin().lock().lines() {
-        let line = line.expect("read stdin");
+    for line in std::io::stdin().lock().split(b'\n') {
+        let line = match line.map(String::from_utf8) {
+            Ok(Ok(line)) => line,
+            Ok(Err(e)) => {
+                submitted.push(Submitted::Unparsed(format!(
+                    "unparsable request: line is not UTF-8: {e}"
+                )));
+                continue;
+            }
+            Err(e) => {
+                eprintln!("npar-serve: read stdin: {e}; treating it as end of input");
+                break;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }

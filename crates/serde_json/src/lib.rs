@@ -114,16 +114,25 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a bound a long enough line of `[` overflows the
+/// stack; the deepest document this workspace writes, the npar-serve spill,
+/// nests at most 10 levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
-/// Parse JSON text into a [`Value`].
+/// Parse JSON text into a [`Value`] in one pass, linear in the length of
+/// `text`. Arrays and objects nested more than 128 levels deep are an error.
 pub fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -175,14 +184,29 @@ impl Parser<'_> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.string().map(Value::Str),
-            b'[' => self.array(),
-            b'{' => self.object(),
+            b'[' => self.nested(Self::array),
+            b'{' => self.nested(Self::object),
             b'-' | b'0'..=b'9' => self.number(),
             c => Err(Error(format!(
                 "unexpected character '{}' at byte {}",
                 c as char, self.pos
             ))),
         }
+    }
+
+    /// Parse one array or object one level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -232,61 +256,56 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            let b = *self
+            // Take everything up to the next `"` or `\` as one run. A run
+            // ends at an ASCII byte, which is always a char boundary, so it is
+            // validated once and appended whole: the scan stays linear in the
+            // string's length.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error("unterminated string".into()))?;
+            self.pos += run;
+            s.push_str(
+                std::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| Error("invalid UTF-8 in string".into()))?,
+            );
+            let b = self.bytes[self.pos];
+            self.pos += 1;
+            if b == b'"' {
+                return Ok(s);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| Error("unterminated string".into()))?;
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = *self
+                .ok_or_else(|| Error("unterminated escape".into()))?;
+            self.pos += 1;
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'n' => s.push('\n'),
+                b'r' => s.push('\r'),
+                b't' => s.push('\t'),
+                b'b' => s.push('\u{8}'),
+                b'f' => s.push('\u{c}'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error("unterminated escape".into()))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error("truncated \\u escape".into()))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error("bad \\u escape".into()))?,
-                                16,
-                            )
-                            .map_err(|_| Error("bad \\u escape".into()))?;
-                            self.pos += 4;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error("invalid \\u code point".into()))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error(format!("unknown escape '\\{}'", other as char)))
-                        }
-                    }
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| Error("truncated \\u escape".into()))?;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| Error("bad \\u escape".into()))?,
+                        16,
+                    )
+                    .map_err(|_| Error("bad \\u escape".into()))?;
+                    self.pos += 4;
+                    s.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| Error("invalid \\u code point".into()))?,
+                    );
                 }
-                _ => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error("invalid UTF-8 in string".into()))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(Error(format!("unknown escape '\\{}'", other as char))),
             }
         }
     }
@@ -345,6 +364,47 @@ mod tests {
             s
         };
         assert_eq!(parse(&text).unwrap(), v);
+
+        // Multibyte scalars directly against every kind of escape, so each
+        // run boundary falls next to a 2-, 3- or 4-byte UTF-8 sequence.
+        for s in [
+            "é\"∑\\😀\né",
+            "\"é\\∑\n😀\u{e9}",
+            "😀\u{1}∑\u{1f}é",
+            "∑\t\r/",
+        ] {
+            let mut text = String::new();
+            render_string(s, &mut text);
+            assert_eq!(parse(&text).unwrap(), Value::Str(s.into()), "{text}");
+        }
+        assert_eq!(
+            parse(r#""é\"∑\\😀\n\u00e9é∑\u00e9😀""#).unwrap(),
+            Value::Str("é\"∑\\😀\néé∑é😀".into())
+        );
+        let long: String = "ab∑😀\"".chars().cycle().take(64 * 1024).collect();
+        let mut text = String::new();
+        render_string(&long, &mut text);
+        assert_eq!(parse(&text).unwrap(), Value::Str(long));
+        // Unterminated mid-run, mid-escape and right after an escape.
+        for bad in [r#""abc∑"#, r#"["é😀"#, r#""a\"#, r#""a\u00"#, r#""a\n"#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far past the bound fails without touching the stack limit.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -80,9 +80,9 @@ impl Deserialize for Spill {
                 "spill: version {version} != supported {SPILL_VERSION}"
             )));
         }
-        let arr = |name: &str| -> Result<Vec<Value>, serde::Error> {
+        let arr = |name: &str| -> Result<&[Value], serde::Error> {
             match v.get(name) {
-                Some(Value::Array(items)) => Ok(items.clone()),
+                Some(Value::Array(items)) => Ok(items),
                 other => Err(serde::Error(format!("spill: bad {name}: {other:?}"))),
             }
         };

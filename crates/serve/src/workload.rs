@@ -139,9 +139,9 @@ pub fn device_sig(device: &DeviceConfig) -> String {
     format!("{:016x}", fx(text.as_bytes()))
 }
 
-/// Validate a request before admission: unknown kernel ids and absurd
-/// shapes are rejected at submit time (`SubmitError::Invalid`) instead of
-/// occupying a worker.
+/// Validate a request before admission: unknown kernel ids, device configs
+/// the simulator cannot run and absurd shapes are rejected at submit time
+/// (`SubmitError::Invalid`) instead of occupying a worker.
 pub fn validate(req: &Request) -> Result<(), String> {
     if !KERNELS.contains(&req.kernel.as_str()) {
         return Err(format!(
@@ -150,6 +150,7 @@ pub fn validate(req: &Request) -> Result<(), String> {
             KERNELS.join(", ")
         ));
     }
+    validate_device(&req.device)?;
     let d = &req.dataset;
     if d.grid == 0 || d.block == 0 || d.launches == 0 || d.n == 0 {
         return Err("dataset dims must be nonzero".into());
@@ -173,6 +174,41 @@ pub fn validate(req: &Request) -> Result<(), String> {
             "grid {} x block {} exceeds {MAX_CONS_PARENT_THREADS} parent threads for \
              dp-consolidated",
             d.grid, d.block
+        ));
+    }
+    Ok(())
+}
+
+/// Reject a device the simulator cannot run. It divides by the warp size,
+/// the bank count, the per-SM issue width (`cores_per_sm`), the device's
+/// warp capacity and the clock, and masks addresses by the transaction
+/// size, which must be a power of two. A zero in any other SM capacity
+/// leaves no block resident, so the run would report launch overhead
+/// alone.
+fn validate_device(d: &DeviceConfig) -> Result<(), String> {
+    let nonzero = [
+        ("num_sms", d.num_sms),
+        ("cores_per_sm", d.cores_per_sm),
+        ("warp_size", d.warp_size),
+        ("max_threads_per_sm", d.max_threads_per_sm),
+        ("max_blocks_per_sm", d.max_blocks_per_sm),
+        ("max_warps_per_sm", d.max_warps_per_sm),
+        ("registers_per_sm", d.registers_per_sm),
+        ("shared_banks", d.shared_banks),
+    ];
+    if let Some((name, _)) = nonzero.iter().find(|&&(_, v)| v == 0) {
+        return Err(format!("device.{name} must be nonzero"));
+    }
+    if !d.mem_transaction_bytes.is_power_of_two() {
+        return Err(format!(
+            "device.mem_transaction_bytes {} is not a power of two",
+            d.mem_transaction_bytes
+        ));
+    }
+    if !(d.clock_ghz.is_finite() && d.clock_ghz > 0.0) {
+        return Err(format!(
+            "device.clock_ghz {} is not a positive number",
+            d.clock_ghz
         ));
     }
     Ok(())
@@ -550,6 +586,28 @@ mod tests {
         assert!(validate(&r).is_err());
         r.dataset.grid = 32;
         assert!(validate(&r).is_ok());
+        type Set = fn(&mut DeviceConfig);
+        let unrunnable: [Set; 5] = [
+            |d| d.warp_size = 0,
+            |d| d.shared_banks = 0,
+            |d| d.num_sms = 0,
+            |d| d.mem_transaction_bytes = 96,
+            |d| d.clock_ghz = f64::NAN,
+        ];
+        for set in unrunnable {
+            let mut r = Request::new("dp-storm");
+            set(&mut r.device);
+            assert!(validate(&r).is_err(), "{:?}", r.device);
+        }
+        for device in [
+            DeviceConfig::kepler_k20(),
+            DeviceConfig::gtx_titan(),
+            DeviceConfig::tiny(),
+        ] {
+            let mut r = Request::new("dp-storm");
+            r.device = device;
+            assert!(validate(&r).is_ok());
+        }
     }
 
     #[test]

@@ -198,6 +198,15 @@ fn corrupt_or_truncated_spill_starts_cold() {
     assert_eq!(source_of(&resp), Source::Fresh);
     service.join();
 
+    // Nested far past the parser's depth bound: an error, not a stack
+    // overflow.
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    assert!(cache::load(&dir).is_none(), "deeply nested spill rejected");
+    let service = Service::start(cfg());
+    let resp = service.submit(&req).unwrap().wait();
+    assert_eq!(source_of(&resp), Source::Fresh, "cold start after nesting");
+    service.join();
+
     // Wrong version: valid JSON, unsupported layout.
     std::fs::write(&path, r#"{"version": 999, "results": [], "memo": []}"#).unwrap();
     assert!(cache::load(&dir).is_none(), "version mismatch rejected");
@@ -323,5 +332,18 @@ fn full_queue_sheds_and_zero_timeout_times_out() {
         service.submit(&tiny_request("no-such-kernel", 0)),
         Err(SubmitError::Invalid(_))
     ));
+    // A device the simulator would divide by zero on is refused too, and
+    // the shard it would have reached keeps answering.
+    let mut bad = tiny_request("regular-wave", 0);
+    bad.device.warp_size = 0;
+    assert!(matches!(
+        service.submit(&bad),
+        Err(SubmitError::Invalid(e)) if e.contains("warp_size")
+    ));
+    let resp = service
+        .submit(&tiny_request("regular-wave", 0))
+        .unwrap()
+        .wait();
+    assert_eq!(source_of(&resp), Source::Fresh);
     service.join();
 }

@@ -542,9 +542,9 @@ fn unbits(v: &Value) -> Result<f64, SerdeError> {
     Ok(f64::from_bits(u64::from_value(v)?))
 }
 
-fn as_array(v: &Value, what: &str) -> Result<Vec<Value>, SerdeError> {
+fn as_array<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], SerdeError> {
     match v {
-        Value::Array(items) => Ok(items.clone()),
+        Value::Array(items) => Ok(items),
         other => Err(SerdeError(format!("{what}: expected array, got {other:?}"))),
     }
 }
@@ -686,7 +686,7 @@ impl De for MemoSnapshot {
                 .ok_or_else(|| SerdeError("memo snapshot: missing warps".into()))?,
             "warps",
         )? {
-            let f = as_array(&rec, "warp entry")?;
+            let f = as_array(rec, "warp entry")?;
             if f.len() != 4 {
                 return Err(SerdeError("warp entry: expected 4 fields".into()));
             }
@@ -705,19 +705,19 @@ impl De for MemoSnapshot {
                 .ok_or_else(|| SerdeError("memo snapshot: missing blocks".into()))?,
             "blocks",
         )? {
-            let f = as_array(&rec, "block entry")?;
+            let f = as_array(rec, "block entry")?;
             if f.len() != 5 {
                 return Err(SerdeError("block entry: expected 5 fields".into()));
             }
             let mut segments = Vec::new();
             for seg in as_array(&f[4], "segments")? {
-                let s = as_array(&seg, "segment")?;
+                let s = as_array(seg, "segment")?;
                 if s.len() != 4 {
                     return Err(SerdeError("segment: expected 4 fields".into()));
                 }
                 let mut launches = Vec::new();
                 for l in as_array(&s[3], "launches")? {
-                    let pair = as_array(&l, "launch")?;
+                    let pair = as_array(l, "launch")?;
                     if pair.len() != 2 {
                         return Err(SerdeError("launch: expected 2 fields".into()));
                     }
