@@ -167,7 +167,8 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore> Rng for R {}
 
-/// The `rand::distributions` subset: [`Distribution`] and [`Uniform`].
+/// The `rand::distributions` subset: [`distributions::Distribution`] and
+/// [`distributions::Uniform`].
 pub mod distributions {
     use super::{uniform_below, RngCore, UniformInt};
 

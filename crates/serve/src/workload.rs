@@ -176,6 +176,18 @@ pub fn validate(req: &Request) -> Result<(), String> {
             d.grid, d.block
         ));
     }
+    // Every launch the request makes, host and device side, must fit the
+    // device: a block no SM can hold would never be placed.
+    let children: &[LaunchConfig] = match req.kernel.as_str() {
+        "dp-storm" => &[STORM_CHILD],
+        "dp-consolidated" => &CONS_CHILDREN,
+        _ => &[],
+    };
+    for cfg in std::iter::once(LaunchConfig::new(d.grid, d.block)).chain(children.iter().copied()) {
+        req.device
+            .validate_launch(&cfg)
+            .map_err(|e| e.to_string())?;
+    }
     Ok(())
 }
 
@@ -291,6 +303,28 @@ impl ThreadKernel for StormChild {
     }
 }
 
+/// Child grids of the DP storm.
+const STORM_CHILD: LaunchConfig = LaunchConfig {
+    grid_dim: 4,
+    block_dim: 64,
+    shared_mem_bytes: 0,
+};
+
+/// Child grids of the consolidated storm: even parent threads launch the
+/// first (a mergeable block-sized grid), odd ones the second.
+const CONS_CHILDREN: [LaunchConfig; 2] = [
+    LaunchConfig {
+        grid_dim: 1,
+        block_dim: 128,
+        shared_mem_bytes: 0,
+    },
+    LaunchConfig {
+        grid_dim: 1,
+        block_dim: 32,
+        shared_mem_bytes: 0,
+    },
+];
+
 /// DP storm parent: block leaders fire-and-forget child grids, with a
 /// salt-dependent divergence tail so distinct salts stay distinct work.
 struct StormParent {
@@ -308,7 +342,7 @@ impl ThreadKernel for StormParent {
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         if t.is_leader() {
-            t.launch(&self.child, LaunchConfig::new(4, 64), Stream::Default);
+            t.launch(&self.child, STORM_CHILD, Stream::Default);
         }
         let spin = (t.global_id() as u64 + self.salt) % 5;
         t.compute(1 + spin as u32);
@@ -362,11 +396,7 @@ impl ThreadKernel for ConsStormParent {
             data: self.data,
             base: id * 128,
         });
-        let cfg = if id.is_multiple_of(2) {
-            LaunchConfig::new(1, 128)
-        } else {
-            LaunchConfig::new(1, 32)
-        };
+        let cfg = CONS_CHILDREN[id % 2];
         t.launch(&child, cfg, Stream::Default);
         let spin = (id as u64 + self.salt) % 5;
         t.compute(1 + spin as u32);
@@ -599,6 +629,18 @@ mod tests {
             set(&mut r.device);
             assert!(validate(&r).is_err(), "{:?}", r.device);
         }
+        // Blocks no SM of the device can hold: the host block (registers),
+        // or a device-side child block (warps) of a launch-storm kernel.
+        let mut r = Request::new("divergent");
+        r.device.registers_per_sm = r.device.registers_per_thread * (r.dataset.block - 1);
+        let err = validate(&r).unwrap_err();
+        assert!(err.contains("no SM can hold"), "{err}");
+        let mut r = Request::new("dp-consolidated");
+        r.dataset.block = 32;
+        r.device.max_warps_per_sm = 2;
+        assert!(validate(&r).unwrap_err().contains("no SM can hold"));
+        r.kernel = "monte-carlo".into();
+        assert!(validate(&r).is_ok(), "no 128-thread child to place");
         for device in [
             DeviceConfig::kepler_k20(),
             DeviceConfig::gtx_titan(),

@@ -5,7 +5,7 @@ use crate::config::DeviceConfig;
 use crate::cost::CostModel;
 use crate::memo::{block_key, hash_ops, warp_key, BlockEntry, BlockFps, BlockMemo, WarpEntry};
 use crate::profiler::KernelMetrics;
-use crate::trace::Op;
+use crate::trace::{Barriers, Op};
 use crate::warp::{align_warp, AlignScratch};
 
 /// Warp-cache access during block alignment. The serial path consults the
@@ -176,11 +176,12 @@ fn run_warp<M: WarpMemoView>(
 
 /// Segment, align and cost one block's traces.
 ///
-/// Caller contract: traces must agree on their barrier sequence. The
-/// engine runs [`crate::check::scan_block`] first, which reports divergent
-/// barriers as structured diagnostics and sanitizes the traces (divergent
-/// `__syncthreads` is undefined behaviour on real hardware); this function
-/// only debug-asserts the invariant.
+/// Caller contract: `barriers` describes `traces` and its lanes agree on
+/// their barrier sequence. A recording block agrees by construction; for
+/// traces built by hand the engine runs [`crate::check::scan_block`] first,
+/// which reports divergent barriers as structured diagnostics and sanitizes
+/// the traces (divergent `__syncthreads` is undefined behaviour on real
+/// hardware); this function only debug-asserts the invariant.
 ///
 /// `memo` carries the engine's memoization cache plus this block's rolling
 /// fingerprints (`None` disables caching — the hazard checker has already
@@ -188,6 +189,7 @@ fn run_warp<M: WarpMemoView>(
 /// otherwise individual warp segments still hit the warp-level cache.
 pub(crate) fn finalize_block(
     traces: &[Vec<Op>],
+    barriers: &Barriers,
     device: &DeviceConfig,
     cost: &CostModel,
     metrics: &mut KernelMetrics,
@@ -223,7 +225,9 @@ pub(crate) fn finalize_block(
     // Everything below accumulates into a block-local delta so a future
     // block-level hit replays the identical contribution.
     let mut delta = KernelMetrics::default();
-    let out = align_block(traces, device, cost, scratch, &mut memo, &mut delta);
+    let out = align_block(
+        traces, barriers, device, cost, scratch, &mut memo, &mut delta,
+    );
     finish_block(metrics, delta, memo, bkey, &out, total_ops);
     out
 }
@@ -234,6 +238,7 @@ pub(crate) fn finalize_block(
 /// workers share the exact same alignment logic.
 pub(crate) fn align_block<M: WarpMemoView>(
     traces: &[Vec<Op>],
+    barriers: &Barriers,
     device: &DeviceConfig,
     cost: &CostModel,
     scratch: &mut AlignScratch,
@@ -245,22 +250,11 @@ pub(crate) fn align_block<M: WarpMemoView>(
     let warp_size = device.warp_size as usize;
     let warps = nthreads.div_ceil(warp_size) as u32;
 
-    // Reference delimiter sequence from lane 0; every lane must match.
-    let delims: Vec<Op> = traces[0]
-        .iter()
-        .copied()
-        .filter(|o| o.is_delimiter())
-        .collect();
-    if cfg!(debug_assertions) {
-        for (l, t) in traces.iter().enumerate() {
-            let mine = t.iter().copied().filter(|o| o.is_delimiter());
-            assert!(
-                mine.eq(delims.iter().copied()),
-                "thread {l} diverged on barriers (caller must sanitize via check::scan_block)"
-            );
-        }
-    }
-
+    debug_assert!(
+        barriers.divergence.is_none() && *barriers == Barriers::from_traces(traces),
+        "barrier record must describe uniform traces (caller must sanitize via check::scan_block)"
+    );
+    let delims = &barriers.kinds;
     let nsegs = delims.len() + 1;
     const EMPTY: &[Op] = &[];
 
@@ -311,19 +305,6 @@ pub(crate) fn align_block<M: WarpMemoView>(
         };
     }
 
-    // Per-lane segment ranges, flattened into one lane-major buffer.
-    let mut ranges: Vec<(u32, u32)> = Vec::with_capacity(nthreads * nsegs);
-    for t in traces {
-        let mut start = 0u32;
-        for (i, op) in t.iter().enumerate() {
-            if op.is_delimiter() {
-                ranges.push((start, i as u32));
-                start = i as u32 + 1;
-            }
-        }
-        ranges.push((start, t.len() as u32));
-    }
-
     let mut segments = Vec::with_capacity(nsegs);
     for s in 0..nsegs {
         let mut seg = SegmentTask {
@@ -335,9 +316,9 @@ pub(crate) fn align_block<M: WarpMemoView>(
             debug_assert!(chunk.len() <= 64);
             let mut ops = 0u64;
             for (i, t) in chunk.iter().enumerate() {
-                let (a, b) = ranges[(w * warp_size + i) * nsegs + s];
-                slices[i] = &t[a as usize..b as usize];
-                ops += u64::from(b - a);
+                let (a, b) = barriers.range(w * warp_size + i, s, t.len());
+                slices[i] = &t[a..b];
+                ops += (b - a) as u64;
             }
             // The rolling fingerprints cover whole traces; segmented
             // warps re-hash their per-segment slices (one cheap pass,
@@ -421,7 +402,16 @@ mod tests {
         let cost = CostModel::default();
         let mut metrics = KernelMetrics::default();
         let mut scratch = AlignScratch::default();
-        let out = finalize_block(traces, &device, &cost, &mut metrics, &mut scratch, None);
+        let barriers = Barriers::from_traces(traces);
+        let out = finalize_block(
+            traces,
+            &barriers,
+            &device,
+            &cost,
+            &mut metrics,
+            &mut scratch,
+            None,
+        );
         (out, metrics)
     }
 

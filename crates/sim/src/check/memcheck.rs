@@ -1,50 +1,36 @@
 //! Memory-bounds checks: shared-memory accesses against the block's
 //! declared shared size, and device-side launch configuration validation.
 
-use super::{CheckState, Hazard, HazardKind};
+use super::{Hazard, HazardKind};
 use crate::kernel::LaunchConfig;
-use crate::trace::Op;
 
-/// Flag shared-memory traffic beyond the launch's declared
+/// Describe shared-memory traffic beyond the launch's declared
 /// `shared_mem_bytes`. On hardware this silently corrupts a neighbouring
 /// block's shared space (or faults); the simulator's timing model does not
 /// care, which is exactly why kernels under-declaring their shared usage
-/// also report impossible occupancy. One diagnostic per block — the first
-/// offending access — keeps a systematically wrong kernel readable.
-pub(crate) fn scan_shared_bounds(
-    st: &mut CheckState,
-    traces: &[Vec<Op>],
+/// also report impossible occupancy. The checker's walk reports one such
+/// diagnostic per block — the first offending access in thread order —
+/// which keeps a systematically wrong kernel readable.
+pub(crate) fn shared_out_of_bounds(
     kernel: &str,
     grid: usize,
     block: u32,
-    cfg: &LaunchConfig,
-) {
-    let limit = u64::from(cfg.shared_mem_bytes);
-    for (lane, t) in traces.iter().enumerate() {
-        for op in t {
-            let addr = match *op {
-                Op::SharedRead { addr } | Op::SharedWrite { addr } | Op::AtomicShared { addr } => {
-                    addr
-                }
-                _ => continue,
-            };
-            // Every shared access models one 4-byte word.
-            if u64::from(addr) + 4 > limit {
-                st.record(Hazard {
-                    kind: HazardKind::SharedOutOfBounds,
-                    kernel: kernel.to_string(),
-                    grid,
-                    block,
-                    details: format!(
-                        "thread {lane} accessed shared offset {addr:#x} (word end \
-                         {:#x}) but the launch declared {limit} byte(s) of shared \
-                         memory",
-                        u64::from(addr) + 4
-                    ),
-                });
-                return;
-            }
-        }
+    lane: usize,
+    addr: u32,
+    limit: u32,
+) -> Hazard {
+    // Every shared access models one 4-byte word.
+    let word_end = u64::from(addr) + 4;
+    Hazard {
+        kind: HazardKind::SharedOutOfBounds,
+        kernel: kernel.to_string(),
+        grid,
+        block,
+        details: format!(
+            "thread {lane} accessed shared offset {addr:#x} (word end \
+             {word_end:#x}) but the launch declared {limit} byte(s) of shared \
+             memory"
+        ),
     }
 }
 

@@ -1,7 +1,7 @@
 //! npar-check — a trace-based race/hazard sanitizer for simulated kernels.
 //!
 //! The simulator executes kernels functionally (thread by thread, in order)
-//! while recording per-thread [`Op`] traces for timing. That sequential
+//! while recording per-thread `Op` traces for timing. That sequential
 //! execution order hides exactly the class of bugs that corrupt results on
 //! real hardware: data races between concurrent threads, divergent
 //! barriers, out-of-bounds shared-memory traffic and misused dynamic
@@ -10,15 +10,15 @@
 //! silent corruption or panics, in the spirit of `cuda-memcheck`'s
 //! `racecheck`/`synccheck`/`memcheck` tools:
 //!
-//! * [`racecheck`] — shared-memory write/write and read/write conflicts
+//! * `racecheck` — shared-memory write/write and read/write conflicts
 //!   between threads of a block within one barrier segment, and cross-block
 //!   conflicts on overlapping global-memory ranges where at least one
 //!   access is a non-atomic write;
-//! * [`synccheck`] — divergent `__syncthreads` (barriers not issued
+//! * `synccheck` — divergent `__syncthreads` (barriers not issued
 //!   uniformly by every thread of a block, or mismatched barrier kinds),
 //!   plus a lint for fire-and-forget child launches whose results the
 //!   parent grid reads without an intervening join;
-//! * [`memcheck`] — shared-memory accesses beyond the block's declared
+//! * `memcheck` — shared-memory accesses beyond the block's declared
 //!   shared size and invalid device-side launch configurations.
 //!
 //! The checker's severity is the [`CheckLevel`] on
@@ -34,8 +34,10 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::kernel::LaunchConfig;
-use crate::trace::Op;
+use crate::trace::{Barriers, Op};
 
+#[cfg(test)]
+mod legacy;
 pub(crate) mod memcheck;
 pub(crate) mod racecheck;
 pub(crate) mod synccheck;
@@ -192,6 +194,7 @@ const MAX_HAZARDS: usize = 64;
 /// global ranges while `children` were launched but not yet joined. The
 /// lint fires only if one of those children (or its descendants) actually
 /// wrote an overlapping range non-atomically.
+#[derive(Debug, PartialEq, Eq)]
 struct PendingLint {
     kernel: String,
     grid: usize,
@@ -221,6 +224,20 @@ pub(crate) struct CheckState {
     scanned_blocks: u64,
     /// Blocks whose scans npar-analyze elided since the last drain.
     elided_blocks: u64,
+    /// Tables the scans reuse from block to block; no report reads them.
+    scratch: Box<ScanScratch>,
+}
+
+/// Reused scan tables (allocation-free steady state): the per-block global
+/// footprint and shared-race tables, the walk's pending shared races, and
+/// the grid's sorted write list for the sweep gate.
+#[derive(Default)]
+struct ScanScratch {
+    lines: racecheck::LineTable,
+    shared: racecheck::SharedTable,
+    races: Vec<racecheck::SharedRaceAt>,
+    writes: Vec<(u64, u64, u32)>,
+    max_end: Vec<u64>,
 }
 
 impl CheckState {
@@ -336,7 +353,7 @@ impl CheckState {
 /// Per-grid accumulator of global-memory access intervals, one entry set
 /// per block. Lives on the stack of the grid executor: nested grids that
 /// execute mid-block (a parent joining children) use their own accumulator.
-#[derive(Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct GridAccess {
     /// `(start, end, block)` merged read intervals.
     reads: Vec<(u64, u64, u32)>,
@@ -362,14 +379,22 @@ impl GridAccess {
 /// traces on divergence so the timing path never sees mismatched
 /// barriers); the race/bounds/lint passes run only when checking is on.
 ///
+/// The barrier check reads the block's barrier record, so `Off` costs no
+/// walk over the ops. Above `Off`, one walk over each block's ops feeds
+/// the shared-bounds check, the per-segment shared-race table and the
+/// global footprint; the unjoined-child-read lint walks again only for a
+/// block that launched a child (without a launch it can find nothing).
+///
 /// Runs strictly before any memoization-cache lookup, so Warn/Strict
 /// results are identical with memoization on. Returns `true` when the
 /// traces were rewritten by divergent-barrier sanitization — the caller
 /// must then skip the cache, whose fingerprints describe the original
 /// traces.
+#[allow(clippy::too_many_arguments)] // crate-internal; both executors thread the same set
 pub(crate) fn scan_block(
     st: &mut CheckState,
     traces: &mut [Vec<Op>],
+    barriers: &mut Barriers,
     kernel: &str,
     grid: usize,
     block: u32,
@@ -379,7 +404,7 @@ pub(crate) fn scan_block(
     if st.level != CheckLevel::Off {
         st.scanned_blocks += 1;
     }
-    if let Some(details) = synccheck::barrier_divergence(traces) {
+    if let Some(details) = barriers.divergence.take() {
         st.record_fatal(Hazard {
             kind: HazardKind::DivergentBarrier,
             kernel: kernel.to_string(),
@@ -388,17 +413,98 @@ pub(crate) fn scan_block(
             details,
         });
         synccheck::sanitize_divergent(traces);
+        barriers.reset(traces.len());
         return true;
     }
     if st.level == CheckLevel::Off {
         return false;
     }
-    memcheck::scan_shared_bounds(st, traces, kernel, grid, block, cfg);
-    let (nsegs, ranges, delims) = segment_ranges(traces);
-    racecheck::scan_shared_races(st, traces, &ranges, nsegs, kernel, grid, block);
-    racecheck::collect_global(traces, block, gaccess);
-    synccheck::scan_unjoined_reads(st, traces, &ranges, &delims, nsegs, kernel, grid, block);
+    if walk_block(st, traces, barriers, kernel, grid, block, cfg, gaccess) {
+        synccheck::scan_unjoined_reads(st, traces, barriers, kernel, grid, block);
+    }
     false
+}
+
+/// The fused per-op pass of [`scan_block`]: one walk over the block's ops,
+/// segment by segment and lane by lane within a segment. Hazards are
+/// recorded in the order the checker has always produced them — the
+/// block's first out-of-bounds shared access in lane order, then each
+/// segment's shared races by offset — and the block's merged global
+/// footprint goes to `gaccess`. Returns whether any lane launched a child.
+#[allow(clippy::too_many_arguments)]
+fn walk_block(
+    st: &mut CheckState,
+    traces: &[Vec<Op>],
+    barriers: &Barriers,
+    kernel: &str,
+    grid: usize,
+    block: u32,
+    cfg: &LaunchConfig,
+    gaccess: &mut GridAccess,
+) -> bool {
+    use racecheck::{ATOMIC, READ, WRITE};
+    let ScanScratch {
+        lines,
+        shared,
+        races,
+        ..
+    } = &mut *st.scratch;
+    let limit = cfg.shared_mem_bytes;
+    shared.begin(limit);
+    // First out-of-bounds shared access as (lane, offset). Segment-major
+    // order meets each lane's accesses in trace order, so keeping the
+    // lowest lane reproduces the lane-major first offender.
+    let mut oob: Option<(usize, u32)> = None;
+    let mut launched = false;
+    for seg in 0..barriers.segments() {
+        for (lane, t) in traces.iter().enumerate() {
+            let (a, b) = barriers.range(lane, seg, t.len());
+            for op in &t[a..b] {
+                let (addr, kind) = match *op {
+                    Op::GlobalRead { addr, size } => {
+                        lines.add(addr, u64::from(size), READ);
+                        continue;
+                    }
+                    Op::GlobalWrite { addr, size } => {
+                        lines.add(addr, u64::from(size), WRITE);
+                        continue;
+                    }
+                    // Atomics carry no size; the minimum 4-byte word still
+                    // overlaps any access to the same element.
+                    Op::AtomicGlobal { addr } => {
+                        lines.add(addr, 4, ATOMIC);
+                        continue;
+                    }
+                    Op::SharedRead { addr } => (addr, READ),
+                    Op::SharedWrite { addr } => (addr, WRITE),
+                    Op::AtomicShared { addr } => (addr, ATOMIC),
+                    Op::Launch { .. } => {
+                        launched = true;
+                        continue;
+                    }
+                    Op::Compute(_) | Op::Sync | Op::SyncChildren => continue,
+                };
+                // Every shared access models one 4-byte word.
+                if u64::from(addr) + 4 > u64::from(limit) && oob.is_none_or(|(l, _)| lane < l) {
+                    oob = Some((lane, addr));
+                }
+                shared.add(addr, lane as u32, kind);
+            }
+        }
+        shared.finish_segment(seg, races);
+    }
+    if let Some((lane, addr)) = oob {
+        st.record(memcheck::shared_out_of_bounds(
+            kernel, grid, block, lane, addr, limit,
+        ));
+    }
+    let mut races = std::mem::take(&mut st.scratch.races);
+    for r in races.drain(..) {
+        st.record(r.hazard(kernel, grid, block));
+    }
+    st.scratch.races = races;
+    st.scratch.lines.emit(block, gaccess);
+    launched
 }
 
 /// The statically-elided counterpart of [`scan_block`]: npar-analyze has
@@ -415,22 +521,34 @@ pub(crate) fn scan_block_elided(
 ) {
     debug_assert!(st.level != CheckLevel::Off);
     st.elided_blocks += 1;
-    racecheck::collect_global(traces, block, gaccess);
+    racecheck::collect_global(&mut st.scratch.lines, traces, block, gaccess);
 }
 
 /// Cross-block analysis once every block of a grid has executed: sweep the
 /// collected global intervals for conflicts and publish the grid's write
 /// union for lint resolution.
+///
+/// The sweep runs only when it can report something: a grid without a
+/// non-atomic write, or whose every write piece only meets its own block's
+/// intervals, has no conflicting pair (see [`racecheck::sweep_can_report`]).
+/// When it runs, it runs unchanged, so messages, order and caps are those
+/// of the full sweep.
 pub(crate) fn finish_grid(st: &mut CheckState, kernel: &str, grid: usize, gaccess: GridAccess) {
-    if st.level == CheckLevel::Off {
+    if st.level == CheckLevel::Off || gaccess.writes.is_empty() {
         return;
     }
-    racecheck::sweep_global(st, kernel, grid, &gaccess);
-    let mut writes: Vec<(u64, u64)> = gaccess.writes.iter().map(|&(a, b, _)| (a, b)).collect();
-    merge_intervals(&mut writes);
-    if !writes.is_empty() {
-        st.grid_writes.insert(grid, writes);
+    let ScanScratch {
+        writes, max_end, ..
+    } = &mut *st.scratch;
+    writes.clear();
+    writes.extend_from_slice(&gaccess.writes);
+    writes.sort_unstable();
+    if racecheck::sweep_can_report(writes, max_end, &gaccess) {
+        racecheck::sweep_global(st, kernel, grid, &gaccess);
     }
+    let mut union: Vec<(u64, u64)> = st.scratch.writes.iter().map(|&(a, b, _)| (a, b)).collect();
+    merge_intervals(&mut union);
+    st.grid_writes.insert(grid, union);
 }
 
 /// Resolve pending unjoined-child-read lints against what the child grids
@@ -474,30 +592,6 @@ pub(crate) fn resolve_lints(engine: &mut crate::engine::Engine) {
             });
         }
     }
-}
-
-/// Segment the (barrier-uniform) traces: returns the segment count, the
-/// lane-major `(start, end)` op ranges (`lane * nsegs + seg`), and the
-/// delimiter sequence (one entry between consecutive segments).
-fn segment_ranges(traces: &[Vec<Op>]) -> (usize, Vec<(u32, u32)>, Vec<Op>) {
-    let delims: Vec<Op> = traces[0]
-        .iter()
-        .copied()
-        .filter(|o| o.is_delimiter())
-        .collect();
-    let nsegs = delims.len() + 1;
-    let mut ranges = Vec::with_capacity(traces.len() * nsegs);
-    for t in traces {
-        let mut start = 0u32;
-        for (i, op) in t.iter().enumerate() {
-            if op.is_delimiter() {
-                ranges.push((start, i as u32));
-                start = i as u32 + 1;
-            }
-        }
-        ranges.push((start, t.len() as u32));
-    }
-    (nsegs, ranges, delims)
 }
 
 /// Sort and coalesce a set of `[start, end)` intervals in place.
@@ -578,18 +672,24 @@ mod tests {
         LaunchConfig::with_shared(1, block, shared)
     }
 
+    /// [`scan_block`] over traces built by hand, with the barrier record
+    /// derived from them.
+    fn scan_hand_built(
+        st: &mut CheckState,
+        traces: &mut [Vec<Op>],
+        block: u32,
+        cfg: &LaunchConfig,
+        ga: &mut GridAccess,
+    ) -> bool {
+        let mut barriers = Barriers::from_traces(traces);
+        scan_block(st, traces, &mut barriers, "k", 0, block, cfg, ga)
+    }
+
     fn scan(level: CheckLevel, traces: &mut [Vec<Op>], shared: u32) -> (CheckState, GridAccess) {
         let mut st = CheckState::new(level);
         let mut ga = GridAccess::default();
-        scan_block(
-            &mut st,
-            traces,
-            "k",
-            0,
-            0,
-            &cfg(traces.len() as u32, shared),
-            &mut ga,
-        );
+        let c = cfg(traces.len() as u32, shared);
+        scan_hand_built(&mut st, traces, 0, &c, &mut ga);
         (st, ga)
     }
 
@@ -694,8 +794,8 @@ mod tests {
         let c = cfg(1, 0);
         let mut b0 = vec![vec![Op::GlobalWrite { addr: 0, size: 4 }]];
         let mut b1 = vec![vec![Op::GlobalWrite { addr: 0, size: 4 }]];
-        scan_block(&mut st, &mut b0, "k", 0, 0, &c, &mut ga);
-        scan_block(&mut st, &mut b1, "k", 0, 1, &c, &mut ga);
+        scan_hand_built(&mut st, &mut b0, 0, &c, &mut ga);
+        scan_hand_built(&mut st, &mut b1, 1, &c, &mut ga);
         finish_grid(&mut st, "k", 0, ga);
         assert_eq!(kinds(&st), vec![HazardKind::GlobalRace]);
         assert!(st.hazards[0].details.contains("blocks 0 and 1"));
@@ -716,8 +816,8 @@ mod tests {
             Op::GlobalRead { addr: 0, size: 4 },
             Op::AtomicGlobal { addr: 0 },
         ]];
-        scan_block(&mut st, &mut b0, "k", 0, 0, &c, &mut ga);
-        scan_block(&mut st, &mut b1, "k", 0, 1, &c, &mut ga);
+        scan_hand_built(&mut st, &mut b0, 0, &c, &mut ga);
+        scan_hand_built(&mut st, &mut b1, 1, &c, &mut ga);
         finish_grid(&mut st, "k", 0, ga);
         assert!(!st.has_hazards());
     }
@@ -729,8 +829,8 @@ mod tests {
         let c = cfg(1, 0);
         let mut b0 = vec![vec![Op::GlobalWrite { addr: 0, size: 4 }]];
         let mut b1 = vec![vec![Op::GlobalWrite { addr: 4, size: 4 }]];
-        scan_block(&mut st, &mut b0, "k", 0, 0, &c, &mut ga);
-        scan_block(&mut st, &mut b1, "k", 0, 1, &c, &mut ga);
+        scan_hand_built(&mut st, &mut b0, 0, &c, &mut ga);
+        scan_hand_built(&mut st, &mut b1, 1, &c, &mut ga);
         finish_grid(&mut st, "k", 0, ga);
         assert!(!st.has_hazards());
     }
@@ -819,5 +919,246 @@ mod tests {
         assert!(r
             .to_string()
             .contains("5 block(s) scanned, 7 statically elided"));
+    }
+
+    // -----------------------------------------------------------------
+    // Randomized equivalence with the previous scans (`legacy`).
+    // -----------------------------------------------------------------
+
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// A global address: mostly in a few clustered buffers (so accesses
+    /// touch, overlap and straddle lines), sometimes at the direct-index
+    /// boundary or far beyond it.
+    fn global_addr(rng: &mut ChaCha8Rng) -> u64 {
+        let direct_end = (1u64 << 20) * 128;
+        match rng.gen_range(0u32..20) {
+            0 => direct_end - 64 + rng.gen_range(0u64..128),
+            1 => (1u64 << 40) + rng.gen_range(0u64..512),
+            _ => 128 * rng.gen_range(1u64..4) * 8 + rng.gen_range(0u64..700),
+        }
+    }
+
+    fn global_size(rng: &mut ChaCha8Rng) -> u8 {
+        match rng.gen_range(0u32..12) {
+            0 => 0,
+            1 => rng.gen_range(1u8..=255),
+            2 => 12,
+            3 => 200,
+            4 => 1,
+            5 => 8,
+            _ => 4,
+        }
+    }
+
+    fn random_op(rng: &mut ChaCha8Rng, shared_span: u32) -> Op {
+        let shared = |rng: &mut ChaCha8Rng| rng.gen_range(0u32..shared_span) * 4;
+        match rng.gen_range(0u32..22) {
+            0..=4 => Op::GlobalRead {
+                addr: global_addr(rng),
+                size: global_size(rng),
+            },
+            5..=6 => Op::GlobalWrite {
+                addr: global_addr(rng),
+                size: global_size(rng),
+            },
+            7..=8 => Op::AtomicGlobal {
+                addr: global_addr(rng),
+            },
+            9..=11 => Op::SharedRead { addr: shared(rng) },
+            12..=14 => Op::SharedWrite { addr: shared(rng) },
+            15..=16 => Op::AtomicShared { addr: shared(rng) },
+            17 => Op::Launch {
+                grid: rng.gen_range(1u32..6),
+            },
+            _ => Op::Compute(rng.gen_range(1u32..4)),
+        }
+    }
+
+    /// A block's traces: uniform barriers (as a recording block issues
+    /// them) with random ops between, sometimes made divergent by hand.
+    fn random_block(rng: &mut ChaCha8Rng, lanes: usize, shared_span: u32) -> Vec<Vec<Op>> {
+        let barriers: Vec<Op> = (0..rng.gen_range(0usize..4))
+            .map(|_| {
+                if rng.gen_range(0u32..3) == 0 {
+                    Op::SyncChildren
+                } else {
+                    Op::Sync
+                }
+            })
+            .collect();
+        let mut traces: Vec<Vec<Op>> = (0..lanes)
+            .map(|_| {
+                let mut t = Vec::new();
+                for seg in 0..=barriers.len() {
+                    for _ in 0..rng.gen_range(0usize..5) {
+                        t.push(random_op(rng, shared_span));
+                    }
+                    if let Some(&b) = barriers.get(seg) {
+                        t.push(b);
+                    }
+                }
+                t
+            })
+            .collect();
+        if rng.gen_range(0u32..25) == 0 {
+            let lane = rng.gen_range(0..lanes);
+            match rng.gen_range(0u32..3) {
+                0 => traces[lane].push(Op::Sync),
+                1 => {
+                    if let Some(p) = traces[lane].iter().position(|o| o.is_delimiter()) {
+                        traces[lane].remove(p);
+                    }
+                }
+                _ => {
+                    if let Some(o) = traces[lane].iter_mut().find(|o| o.is_delimiter()) {
+                        *o = if *o == Op::Sync {
+                            Op::SyncChildren
+                        } else {
+                            Op::Sync
+                        };
+                    }
+                }
+            }
+        }
+        traces
+    }
+
+    /// Pre-fill both states with the same filler hazards so some cases
+    /// start near (or past) the recording cap.
+    fn prefill(st: &mut CheckState, n: usize) {
+        for i in 0..n {
+            st.record(Hazard {
+                kind: HazardKind::SharedRace,
+                kernel: "filler".into(),
+                grid: 9,
+                block: i as u32,
+                details: String::new(),
+            });
+        }
+    }
+
+    fn assert_same_state(new: &CheckState, old: &CheckState, case: usize) {
+        assert_eq!(new.hazards, old.hazards, "case {case}: hazards");
+        assert_eq!(new.suppressed, old.suppressed, "case {case}: suppressed");
+        assert_eq!(new.fatal, old.fatal, "case {case}: fatal");
+        assert_eq!(new.lints, old.lints, "case {case}: lints");
+        assert_eq!(
+            new.grid_writes, old.grid_writes,
+            "case {case}: write unions"
+        );
+        assert_eq!(
+            new.scanned_blocks, old.scanned_blocks,
+            "case {case}: scanned"
+        );
+    }
+
+    #[test]
+    fn scans_match_the_previous_checker() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xc4ec);
+        // One state per side for the whole run: the scan tables are reused
+        // across blocks and grids exactly as in an engine.
+        let mut new = CheckState::new(CheckLevel::Warn);
+        let mut old = CheckState::new(CheckLevel::Warn);
+        for case in 0..4000 {
+            let level = match rng.gen_range(0u32..8) {
+                0 => CheckLevel::Off,
+                1 => CheckLevel::Strict,
+                _ => CheckLevel::Warn,
+            };
+            let _ = new.take_report();
+            let _ = old.take_report();
+            new.reset_batch();
+            old.reset_batch();
+            new.level = level;
+            old.level = level;
+            let fill = [0, 0, 0, 60, 64, 70][rng.gen_range(0usize..6)];
+            prefill(&mut new, fill);
+            prefill(&mut old, fill);
+            let lanes = rng.gen_range(1usize..40);
+            let shared_span = rng.gen_range(1u32..24);
+            let c =
+                LaunchConfig::with_shared(1, lanes as u32, rng.gen_range(0u32..=shared_span) * 4);
+            let (mut ga_new, mut ga_old) = (GridAccess::default(), GridAccess::default());
+            for block in 0..rng.gen_range(1u32..5) {
+                let traces = random_block(&mut rng, lanes, shared_span);
+                let (mut t_new, mut t_old) = (traces.clone(), traces);
+                let s_new = scan_hand_built(&mut new, &mut t_new, block, &c, &mut ga_new);
+                let s_old =
+                    legacy::scan_block(&mut old, &mut t_old, "k", 0, block, &c, &mut ga_old);
+                assert_eq!(s_new, s_old, "case {case}: sanitized");
+                assert_eq!(t_new, t_old, "case {case}: traces after the scan");
+                assert_eq!(ga_new, ga_old, "case {case}: footprints");
+                assert_same_state(&new, &old, case);
+            }
+            finish_grid(&mut new, "k", 0, ga_new);
+            legacy::finish_grid(&mut old, "k", 0, ga_old);
+            assert_same_state(&new, &old, case);
+        }
+    }
+
+    #[test]
+    fn footprints_match_sort_and_merge() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xf00d);
+        let mut lines = racecheck::LineTable::default();
+        for case in 0..2000 {
+            let lanes = rng.gen_range(1usize..8);
+            let traces: Vec<Vec<Op>> = (0..lanes)
+                .map(|_| {
+                    (0..rng.gen_range(0usize..30))
+                        .map(|_| random_op(&mut rng, 4))
+                        .collect()
+                })
+                .collect();
+            let (mut got, mut want) = (GridAccess::default(), GridAccess::default());
+            racecheck::collect_global(&mut lines, &traces, case, &mut got);
+            legacy::collect_global(&traces, case, &mut want);
+            assert_eq!(got, want, "case {case}");
+        }
+    }
+
+    #[test]
+    fn sweep_gate_is_exact() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x6a7e);
+        let mut lines = racecheck::LineTable::default();
+        let (mut writes, mut max_end) = (Vec::new(), Vec::new());
+        let (mut ran, mut skipped) = (0, 0);
+        for case in 0..3000 {
+            // Dense accesses over a few lines, so conflicts are common but
+            // not universal.
+            let mut ga = GridAccess::default();
+            for block in 0..rng.gen_range(1u32..6) {
+                let traces: Vec<Vec<Op>> = (0..rng.gen_range(1usize..4))
+                    .map(|_| {
+                        (0..rng.gen_range(0usize..6))
+                            .map(|_| {
+                                let addr = rng.gen_range(0u64..600);
+                                let size = [0u8, 1, 4, 12, 200][rng.gen_range(0usize..5)];
+                                match rng.gen_range(0u32..4) {
+                                    0 => Op::GlobalWrite { addr, size },
+                                    1 => Op::AtomicGlobal { addr },
+                                    _ => Op::GlobalRead { addr, size },
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                racecheck::collect_global(&mut lines, &traces, block, &mut ga);
+            }
+            writes.clear();
+            writes.extend_from_slice(&ga.writes);
+            writes.sort_unstable();
+            let gate = racecheck::sweep_can_report(&writes, &mut max_end, &ga);
+            let mut st = CheckState::new(CheckLevel::Warn);
+            racecheck::sweep_global(&mut st, "k", 0, &ga);
+            assert_eq!(gate, st.has_hazards(), "case {case}: {ga:?}");
+            if gate {
+                ran += 1;
+            } else {
+                skipped += 1;
+            }
+        }
+        assert!(ran > 300 && skipped > 300, "ran {ran}, skipped {skipped}");
     }
 }

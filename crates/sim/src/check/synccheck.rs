@@ -1,51 +1,7 @@
 //! Barrier and dynamic-parallelism synchronization checks.
 
 use super::{merge_intervals, CheckState, PendingLint};
-use crate::trace::Op;
-
-/// Compare every lane's barrier sequence against lane 0's. Returns a
-/// located description of the first divergence, or `None` when uniform.
-///
-/// Divergent `__syncthreads` is undefined behaviour on hardware (typically
-/// a hang); the simulator used to `assert!` here, which took the whole
-/// process down. Now the caller records the diagnostic and sanitizes.
-pub(crate) fn barrier_divergence(traces: &[Vec<Op>]) -> Option<String> {
-    let reference: Vec<Op> = traces[0]
-        .iter()
-        .copied()
-        .filter(|o| o.is_delimiter())
-        .collect();
-    for (lane, t) in traces.iter().enumerate().skip(1) {
-        let mut mine = t.iter().copied().filter(|o| o.is_delimiter());
-        for (pos, &want) in reference.iter().enumerate() {
-            match mine.next() {
-                Some(got) if got == want => {}
-                Some(got) => {
-                    return Some(format!(
-                        "thread {lane} issued {got:?} at barrier #{pos} where \
-                         thread 0 issued {want:?}"
-                    ));
-                }
-                None => {
-                    return Some(format!(
-                        "thread {lane} issued {pos} barrier(s) but thread 0 \
-                         issued {}",
-                        reference.len()
-                    ));
-                }
-            }
-        }
-        let extra = mine.count();
-        if extra > 0 {
-            return Some(format!(
-                "thread {lane} issued {} barrier(s) but thread 0 issued {}",
-                reference.len() + extra,
-                reference.len()
-            ));
-        }
-    }
-    None
-}
+use crate::trace::{Barriers, Op};
 
 /// Make divergent traces safe for the timing path: truncate every lane at
 /// its first barrier, leaving a single barrier-free segment. The block's
@@ -71,13 +27,13 @@ pub(crate) fn sanitize_divergent(traces: &mut [Vec<Op>]) {
 /// an earlier barrier segment (a plain `Sync` does not join children —
 /// only `SyncChildren` clears them), plus children the *same lane*
 /// launched earlier in the current segment.
-#[allow(clippy::too_many_arguments)]
+///
+/// Only a block with a launch can produce a lint, so the checker runs this
+/// walk for launch-bearing blocks alone.
 pub(crate) fn scan_unjoined_reads(
     st: &mut CheckState,
     traces: &[Vec<Op>],
-    ranges: &[(u32, u32)],
-    delims: &[Op],
-    nsegs: usize,
+    barriers: &Barriers,
     kernel: &str,
     grid: usize,
     block: u32,
@@ -85,12 +41,12 @@ pub(crate) fn scan_unjoined_reads(
     let mut block_unjoined: Vec<usize> = Vec::new();
     let mut reads: Vec<(u64, u64)> = Vec::new();
     let mut children: Vec<usize> = Vec::new();
-    for seg in 0..nsegs {
+    for seg in 0..barriers.segments() {
         let mut seg_launches: Vec<usize> = Vec::new();
         for (lane, t) in traces.iter().enumerate() {
-            let (a, b) = ranges[lane * nsegs + seg];
+            let (a, b) = barriers.range(lane, seg, t.len());
             let mut own: Vec<usize> = Vec::new();
-            for op in &t[a as usize..b as usize] {
+            for op in &t[a..b] {
                 match *op {
                     Op::Launch { grid: child } => own.push(child as usize),
                     Op::GlobalRead { addr, size }
@@ -108,7 +64,7 @@ pub(crate) fn scan_unjoined_reads(
         // Crossing the segment's closing barrier: SyncChildren joins every
         // child launched so far; a plain Sync leaves them pending.
         block_unjoined.extend(seg_launches);
-        if delims.get(seg) == Some(&Op::SyncChildren) {
+        if barriers.kinds.get(seg) == Some(&Op::SyncChildren) {
             block_unjoined.clear();
         }
     }

@@ -10,6 +10,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::check::CheckLevel;
 use crate::consolidate::ConsolidateMode;
+use crate::error::SimError;
+use crate::kernel::LaunchConfig;
 
 /// Static description of the simulated GPU.
 ///
@@ -190,6 +192,61 @@ impl DeviceConfig {
             consolidate: ConsolidateMode::Off,
             consolidate_inline_threshold: 64,
         }
+    }
+
+    /// Check a launch configuration against this device: nonzero grid and
+    /// block within the per-launch limits, and a block one SM can hold
+    /// (threads, warps, registers and shared memory). [`crate::Gpu::launch`]
+    /// refuses any other configuration with
+    /// [`crate::SimError::InvalidLaunch`]; a device-side launch records it as
+    /// an [`crate::HazardKind::InvalidChildLaunch`] diagnostic.
+    pub fn validate_launch(&self, cfg: &LaunchConfig) -> Result<(), SimError> {
+        if cfg.grid_dim == 0 || cfg.block_dim == 0 {
+            return Err(SimError::InvalidLaunch(
+                "grid and block dimensions must be >= 1".into(),
+            ));
+        }
+        if cfg.block_dim > self.max_threads_per_block {
+            return Err(SimError::InvalidLaunch(format!(
+                "block_dim {} exceeds device limit {}",
+                cfg.block_dim, self.max_threads_per_block
+            )));
+        }
+        if cfg.grid_dim > self.max_grid_dim {
+            return Err(SimError::InvalidLaunch(format!(
+                "grid_dim {} exceeds device limit {}",
+                cfg.grid_dim, self.max_grid_dim
+            )));
+        }
+        if cfg.shared_mem_bytes > self.shared_mem_per_block {
+            return Err(SimError::InvalidLaunch(format!(
+                "shared memory {} exceeds per-block limit {}",
+                cfg.shared_mem_bytes, self.shared_mem_per_block
+            )));
+        }
+        // A block within every per-block limit can still exceed one SM's
+        // capacity; the scheduler would then never place it and the report
+        // would show launch overhead alone.
+        if self.warp_size == 0
+            || crate::occupancy::block_residency_limit(self, cfg.block_dim, cfg.shared_mem_bytes)
+                == 0
+        {
+            return Err(SimError::InvalidLaunch(format!(
+                "no SM can hold a block of {} thread(s) and {} byte(s) of shared memory \
+                 (per SM: {} threads, {} blocks, {} warps of {}, {} registers at {} per \
+                 thread, {} bytes of shared memory)",
+                cfg.block_dim,
+                cfg.shared_mem_bytes,
+                self.max_threads_per_sm,
+                self.max_blocks_per_sm,
+                self.max_warps_per_sm,
+                self.warp_size,
+                self.registers_per_sm,
+                self.registers_per_thread,
+                self.shared_mem_per_sm
+            )));
+        }
+        Ok(())
     }
 
     /// Per-cycle warp issue width of one SM.

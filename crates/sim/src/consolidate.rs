@@ -11,7 +11,7 @@
 //! below a size threshold as serial execution in the launching thread.
 //!
 //! This module applies both transforms to the *recorded* launch stream —
-//! the [`GridTask`] list the engine accumulated between synchronizes —
+//! the `GridTask` list the engine accumulated between synchronizes —
 //! just before the timing pass. Functional execution, hazard checking,
 //! and per-kernel metrics all happened at trace time, so kernel memory
 //! and hazard reports are byte-identical at any setting by construction;

@@ -16,11 +16,11 @@
 
 use crate::check::{CheckLevel, CheckState};
 use crate::config::DeviceConfig;
-use crate::engine::{register_grid, run_subtree, validate_cfg, Engine, Origin};
+use crate::engine::{register_grid, run_subtree, Engine, Origin};
 use crate::handle::GBuf;
 use crate::kernel::{BlockState, Kernel, KernelRef, LaunchConfig, Stream};
 use crate::memo::{BlockFps, Fingerprint};
-use crate::trace::Op;
+use crate::trace::{Barriers, Op};
 
 /// A device launch recorded by a concurrently traced block, pending
 /// canonical registration on the main thread. The matching
@@ -64,6 +64,16 @@ impl TraceHost<'_> {
     }
 }
 
+/// What a finished [`BlockCtx`] hands back to its executor.
+pub(crate) struct BlockParts<'e> {
+    pub traces: Vec<Vec<Op>>,
+    pub barriers: Barriers,
+    pub fps: BlockFps,
+    /// Child grids launched and not yet joined (serial host only).
+    pub pending: Vec<usize>,
+    pub host: TraceHost<'e>,
+}
+
 /// Context for one thread block of a running kernel.
 pub struct BlockCtx<'e> {
     host: TraceHost<'e>,
@@ -71,6 +81,8 @@ pub struct BlockCtx<'e> {
     block_idx: u32,
     cfg: LaunchConfig,
     traces: Vec<Vec<Op>>,
+    /// Where the block's barriers sit in `traces` (see [`Barriers`]).
+    barriers: Barriers,
     /// Rolling per-thread trace fingerprints (see [`crate::memo`]),
     /// maintained alongside the traces so memoization keys cost one hash
     /// step per recorded op instead of a post-hoc pass.
@@ -97,6 +109,7 @@ impl<'e> BlockCtx<'e> {
         block_idx: u32,
         cfg: LaunchConfig,
         mut traces: Vec<Vec<Op>>,
+        mut barriers: Barriers,
         mut fps: BlockFps,
         fp_on: bool,
     ) -> Self {
@@ -105,6 +118,7 @@ impl<'e> BlockCtx<'e> {
         }
         traces.resize_with(cfg.block_dim as usize, Vec::new);
         traces.truncate(cfg.block_dim as usize);
+        barriers.reset(cfg.block_dim as usize);
         fps.reset(cfg.block_dim as usize);
         BlockCtx {
             host,
@@ -112,6 +126,7 @@ impl<'e> BlockCtx<'e> {
             block_idx,
             cfg,
             traces,
+            barriers,
             fps,
             fp_on,
             par_kernel: kernel.parallel_trace(),
@@ -120,8 +135,14 @@ impl<'e> BlockCtx<'e> {
         }
     }
 
-    pub(crate) fn into_parts(self) -> (Vec<Vec<Op>>, BlockFps, Vec<usize>, TraceHost<'e>) {
-        (self.traces, self.fps, self.pending, self.host)
+    pub(crate) fn into_parts(self) -> BlockParts<'e> {
+        BlockParts {
+            traces: self.traces,
+            barriers: self.barriers,
+            fps: self.fps,
+            pending: self.pending,
+            host: self.host,
+        }
     }
 
     /// Index of this block within its grid.
@@ -190,6 +211,7 @@ impl<'e> BlockCtx<'e> {
 
     /// Block-wide barrier (`__syncthreads`).
     pub fn sync(&mut self) {
+        self.barriers.record(Op::Sync, &self.traces);
         for t in &mut self.traces {
             t.push(Op::Sync);
         }
@@ -236,6 +258,7 @@ impl<'e> BlockCtx<'e> {
             }
             TraceHost::Par(_) => unreachable!("par host implies parallel_trace"),
         }
+        self.barriers.record(Op::SyncChildren, &self.traces);
         for t in &mut self.traces {
             t.push(Op::SyncChildren);
         }
@@ -419,7 +442,7 @@ impl<'b, 'e> ThreadCtx<'b, 'e> {
         };
         let grid = match &mut *self.host {
             TraceHost::Serial(engine) => {
-                if let Err(err) = validate_cfg(&engine.device, &cfg) {
+                if let Err(err) = engine.device.validate_launch(&cfg) {
                     let hazard = crate::check::memcheck::invalid_child_launch(
                         &engine.grids[self.grid_id].name,
                         self.grid_id,
@@ -450,7 +473,7 @@ impl<'b, 'e> ThreadCtx<'b, 'e> {
                 u32::try_from(child).expect("grid id overflow")
             }
             TraceHost::Par(p) => {
-                if let Err(err) = validate_cfg(p.device, &cfg) {
+                if let Err(err) = p.device.validate_launch(&cfg) {
                     let hazard = crate::check::memcheck::invalid_child_launch(
                         p.grid_name,
                         p.grid_id,

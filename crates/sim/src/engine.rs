@@ -22,6 +22,7 @@ use crate::kernel::{KernelRef, LaunchConfig};
 use crate::memo::{BlockFps, BlockMemo, ClassStats, MemoCache};
 use crate::parallel::BufPool;
 use crate::profiler::{KernelMetrics, SimStats};
+use crate::trace::Barriers;
 use crate::warp::AlignScratch;
 
 /// Where a grid was launched from.
@@ -71,6 +72,8 @@ pub(crate) struct Engine {
     /// Recycled per-thread trace buffers (capacity survives across blocks,
     /// which keeps millions of small blocks allocation-free).
     pub trace_pool: Vec<Vec<crate::trace::Op>>,
+    /// Recycled barrier record (same lifecycle as `trace_pool`).
+    pub barrier_pool: Barriers,
     /// Recycled per-thread fingerprint state (same lifecycle as
     /// `trace_pool`).
     pub fp_pool: BlockFps,
@@ -128,6 +131,7 @@ impl Engine {
             host_seq: 0,
             scratch: AlignScratch::default(),
             trace_pool: Vec::new(),
+            barrier_pool: Barriers::default(),
             fp_pool: BlockFps::default(),
             memo,
             stats: SimStats::default(),
@@ -166,7 +170,7 @@ impl Engine {
 
     /// Validate a launch configuration against the device limits.
     pub(crate) fn validate(&self, cfg: &LaunchConfig) -> Result<(), SimError> {
-        validate_cfg(&self.device, cfg)
+        self.device.validate_launch(cfg)
     }
 
     /// Lazily build the work-stealing pool for the current thread count.
@@ -192,35 +196,6 @@ impl Engine {
         }
         self.timing_pool.as_ref()
     }
-}
-
-/// Validate a launch configuration against device limits (free function so
-/// trace-time device launches can check without an `Engine` borrow).
-pub(crate) fn validate_cfg(device: &DeviceConfig, cfg: &LaunchConfig) -> Result<(), SimError> {
-    if cfg.grid_dim == 0 || cfg.block_dim == 0 {
-        return Err(SimError::InvalidLaunch(
-            "grid and block dimensions must be >= 1".into(),
-        ));
-    }
-    if cfg.block_dim > device.max_threads_per_block {
-        return Err(SimError::InvalidLaunch(format!(
-            "block_dim {} exceeds device limit {}",
-            cfg.block_dim, device.max_threads_per_block
-        )));
-    }
-    if cfg.grid_dim > device.max_grid_dim {
-        return Err(SimError::InvalidLaunch(format!(
-            "grid_dim {} exceeds device limit {}",
-            cfg.grid_dim, device.max_grid_dim
-        )));
-    }
-    if cfg.shared_mem_bytes > device.shared_mem_per_block {
-        return Err(SimError::InvalidLaunch(format!(
-            "shared memory {} exceeds per-block limit {}",
-            cfg.shared_mem_bytes, device.shared_mem_per_block
-        )));
-    }
-    Ok(())
 }
 
 /// Register a grid. Host-origin grids execute immediately; device-origin
@@ -313,6 +288,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
         let memo_fp = memo_enabled && class.fp_on(b);
         let fp_on = memo_fp || probe_on;
         let traces = std::mem::take(&mut engine.trace_pool);
+        let barriers = std::mem::take(&mut engine.barrier_pool);
         let fps = std::mem::take(&mut engine.fp_pool);
         let mut blk = BlockCtx::new(
             TraceHost::Serial(engine),
@@ -321,11 +297,18 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
             b,
             cfg,
             traces,
+            barriers,
             fps,
             fp_on,
         );
         kernel.run_block(&mut blk);
-        let (mut traces, fps, pending, _host) = blk.into_parts();
+        let crate::ctx::BlockParts {
+            mut traces,
+            mut barriers,
+            fps,
+            pending,
+            ..
+        } = blk.into_parts();
         // Split-borrow the engine so alignment can stream into the metrics
         // accumulator while reading the device/cost config.
         let Engine {
@@ -351,7 +334,16 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
             stats.elided += 1;
             false
         } else {
-            check::scan_block(check, &mut traces, &name, id, b, &cfg, &mut gaccess)
+            check::scan_block(
+                check,
+                &mut traces,
+                &mut barriers,
+                &name,
+                id,
+                b,
+                &cfg,
+                &mut gaccess,
+            )
         };
         if !elided {
             if let Some(g) = ga.as_mut() {
@@ -386,6 +378,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
         let probed = block_memo.is_some() && !fps.any_launch();
         let outcome = finalize_block(
             &traces,
+            &barriers,
             device,
             cost,
             &mut grid_metrics,
@@ -408,6 +401,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
             window_hits += u32::from(hit);
         }
         engine.trace_pool = traces;
+        engine.barrier_pool = barriers;
         engine.fp_pool = fps;
     }
     check::finish_grid(&mut engine.check, &name, id, gaccess);
@@ -505,5 +499,55 @@ mod tests {
             .validate(&LaunchConfig::with_shared(1, 32, 1 << 20))
             .is_err());
         assert!(e.validate(&LaunchConfig::new(4, 128)).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_blocks_no_sm_can_hold() {
+        let tiny = DeviceConfig::tiny();
+        let devices = [
+            // Per-block limit above the SM's thread capacity.
+            DeviceConfig {
+                max_threads_per_block: 512,
+                ..tiny.clone()
+            },
+            // Registers: 256 threads x 32 registers exceed 4096.
+            DeviceConfig {
+                registers_per_sm: 4096,
+                ..tiny.clone()
+            },
+            // Shared memory: the per-block limit exceeds the SM's.
+            DeviceConfig {
+                shared_mem_per_sm: 1024,
+                ..tiny.clone()
+            },
+            // Warps: four warps per SM, an eight-warp block.
+            DeviceConfig {
+                max_warps_per_sm: 4,
+                ..tiny.clone()
+            },
+            DeviceConfig {
+                max_blocks_per_sm: 0,
+                ..tiny.clone()
+            },
+        ];
+        let big = [
+            LaunchConfig::new(1, 512),
+            LaunchConfig::new(1, 256),
+            LaunchConfig::with_shared(1, 32, 2048),
+            LaunchConfig::new(1, 256),
+            LaunchConfig::new(1, 32),
+        ];
+        for (device, cfg) in devices.into_iter().zip(big) {
+            let err = device.validate_launch(&cfg).unwrap_err();
+            assert!(err.to_string().contains("no SM can hold"), "{err}");
+        }
+        // Every launch valid on the presets still is.
+        for device in [DeviceConfig::kepler_k20(), DeviceConfig::tiny()] {
+            let max = device.max_threads_per_block;
+            let smem = device.shared_mem_per_block;
+            assert!(device
+                .validate_launch(&LaunchConfig::with_shared(1, max, smem))
+                .is_ok());
+        }
     }
 }

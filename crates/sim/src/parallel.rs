@@ -64,7 +64,7 @@ use crate::memo::{
     WARP_CAP,
 };
 use crate::profiler::KernelMetrics;
-use crate::trace::Op;
+use crate::trace::{Barriers, Op};
 use crate::warp::AlignScratch;
 
 #[allow(clippy::disallowed_types)] // fixed hasher: membership-only, never iterated
@@ -86,6 +86,7 @@ pub(crate) struct BufPool {
 /// One block's worth of recycled allocations.
 pub(crate) struct BlockBufs {
     pub traces: Vec<Vec<Op>>,
+    pub barriers: Barriers,
     pub fps: BlockFps,
 }
 
@@ -110,6 +111,7 @@ impl BufPool {
         }
         BlockBufs {
             traces: Vec::new(),
+            barriers: Barriers::default(),
             fps: BlockFps::default(),
         }
     }
@@ -163,6 +165,7 @@ struct Aligned {
 /// additionally carries per-block hazard state and pending launches.
 pub(crate) struct ParBlock {
     traces: Vec<Vec<Op>>,
+    barriers: Barriers,
     fps: BlockFps,
     /// Whether the *memoization policy* wanted fingerprints for this block
     /// (the cache-probe gate fed to [`decide`]). Fingerprints may also be
@@ -189,9 +192,10 @@ pub(crate) struct ParBlock {
 }
 
 impl ParBlock {
-    fn new(traces: Vec<Vec<Op>>, fps: BlockFps, fp_on: bool) -> Self {
+    fn new(traces: Vec<Vec<Op>>, barriers: Barriers, fps: BlockFps, fp_on: bool) -> Self {
         ParBlock {
             traces,
+            barriers,
             fps,
             fp_on,
             elided: false,
@@ -401,7 +405,15 @@ fn align_one(
     } else {
         None
     };
-    let out = align_block(&db.traces, device, cost, scratch, &mut memo, &mut delta);
+    let out = align_block(
+        &db.traces,
+        &db.barriers,
+        device,
+        cost,
+        scratch,
+        &mut memo,
+        &mut delta,
+    );
     let publish = memo.map(WorkerMemo::into_publish);
     db.result = Some(Aligned {
         out,
@@ -499,6 +511,7 @@ fn merge_block(
         0,
         BlockBufs {
             traces: db.traces,
+            barriers: db.barriers,
             fps: db.fps,
         },
     );
@@ -662,11 +675,18 @@ fn execute_serial_traced(
             b,
             cfg,
             bufs.traces,
+            bufs.barriers,
             bufs.fps,
             fp_on,
         );
         kernel.run_block(&mut blk);
-        let (mut traces, fps, pending_children, _host) = blk.into_parts();
+        let crate::ctx::BlockParts {
+            mut traces,
+            mut barriers,
+            fps,
+            pending: pending_children,
+            ..
+        } = blk.into_parts();
         debug_assert!(
             pending_children
                 .iter()
@@ -686,6 +706,7 @@ fn execute_serial_traced(
             check::scan_block(
                 &mut engine.check,
                 &mut traces,
+                &mut barriers,
                 &name,
                 id,
                 b,
@@ -725,7 +746,7 @@ fn execute_serial_traced(
             } => class.probe(false),
             Decision::Align { .. } => {}
         }
-        let mut db = ParBlock::new(traces, fps, memo_fp);
+        let mut db = ParBlock::new(traces, barriers, fps, memo_fp);
         db.elided = elided;
         db.sanitized = sanitized;
         db.ops = ops;
@@ -822,16 +843,17 @@ fn execute_par_traced(
                 i as u32,
                 cfg,
                 bb.traces,
+                bb.barriers,
                 bb.fps,
                 fp_on,
             );
             kernel.run_block(&mut blk);
-            let (traces, fps, pending, host) = blk.into_parts();
-            debug_assert!(pending.is_empty(), "par host defers all registration");
-            let TraceHost::Par(pt) = host else {
+            let parts = blk.into_parts();
+            debug_assert!(parts.pending.is_empty(), "par host defers all registration");
+            let TraceHost::Par(pt) = parts.host else {
                 unreachable!("par-traced block keeps its par host")
             };
-            let mut pb = ParBlock::new(traces, fps, memo_fp);
+            let mut pb = ParBlock::new(parts.traces, parts.barriers, parts.fps, memo_fp);
             pb.trace_check = Some(pt.check);
             pb.launches = pt.launches;
             *slot = Some(pb);
@@ -911,6 +933,7 @@ fn execute_par_traced(
                 pb.sanitized = check::scan_block(
                     &mut st,
                     &mut pb.traces,
+                    &mut pb.barriers,
                     name,
                     id,
                     i as u32,

@@ -66,6 +66,117 @@ impl Op {
     }
 }
 
+/// Where a block's barriers sit, recorded as the block issues them
+/// ([`crate::BlockCtx::sync`] and [`crate::BlockCtx::sync_children`] push
+/// one delimiter to every lane at once). The barrier check, the hazard
+/// checker's segmentation and block alignment all read this record instead
+/// of re-walking the traces for delimiters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Barriers {
+    /// Delimiter ops in issue order.
+    pub kinds: Vec<Op>,
+    /// `pos[k * lanes + l]`: index of barrier `k` in lane `l`'s trace.
+    pub pos: Vec<u32>,
+    /// Lanes of the block.
+    pub lanes: usize,
+    /// Why the lanes disagree on their barrier sequence, for traces built
+    /// by hand ([`Barriers::from_traces`]); a recording block never
+    /// diverges. `kinds` and `pos` are meaningless when set.
+    pub divergence: Option<String>,
+}
+
+impl Barriers {
+    /// Reset for a block of `lanes` threads, keeping capacity.
+    pub fn reset(&mut self, lanes: usize) {
+        self.kinds.clear();
+        self.pos.clear();
+        self.lanes = lanes;
+        self.divergence = None;
+    }
+
+    /// Record barrier `op` at the current end of every lane's trace; the
+    /// caller pushes the delimiter right after.
+    pub fn record(&mut self, op: Op, traces: &[Vec<Op>]) {
+        debug_assert!(op.is_delimiter());
+        self.kinds.push(op);
+        self.pos.extend(traces.iter().map(|t| t.len() as u32));
+    }
+
+    /// Barrier segments (at least one).
+    pub fn segments(&self) -> usize {
+        self.kinds.len() + 1
+    }
+
+    /// Op range `[start, end)` of `lane`'s segment `seg` in a trace of
+    /// `len` ops, delimiters excluded.
+    #[inline]
+    pub fn range(&self, lane: usize, seg: usize, len: usize) -> (usize, usize) {
+        let start = if seg == 0 {
+            0
+        } else {
+            self.pos[(seg - 1) * self.lanes + lane] as usize + 1
+        };
+        let end = if seg == self.kinds.len() {
+            len
+        } else {
+            self.pos[seg * self.lanes + lane] as usize
+        };
+        (start, end)
+    }
+
+    /// Derive the record from traces built by hand, comparing every lane's
+    /// delimiter sequence against thread 0's. A disagreement is kept in
+    /// `divergence` with a located description of the first one.
+    pub fn from_traces(traces: &[Vec<Op>]) -> Barriers {
+        let mut b = Barriers {
+            lanes: traces.len(),
+            ..Default::default()
+        };
+        let Some(first) = traces.first() else {
+            return b;
+        };
+        b.kinds = first.iter().copied().filter(|o| o.is_delimiter()).collect();
+        b.pos = vec![0; b.kinds.len() * traces.len()];
+        for (lane, t) in traces.iter().enumerate() {
+            let mut mine = t
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| o.is_delimiter())
+                .map(|(i, &o)| (i, o));
+            for (k, &want) in b.kinds.iter().enumerate() {
+                match mine.next() {
+                    Some((i, got)) if got == want => b.pos[k * traces.len() + lane] = i as u32,
+                    Some((_, got)) => {
+                        b.divergence = Some(format!(
+                            "thread {lane} issued {got:?} at barrier #{k} where \
+                             thread 0 issued {want:?}"
+                        ));
+                        return b;
+                    }
+                    None => {
+                        b.divergence = Some(format!(
+                            "thread {lane} issued {k} barrier(s) but thread 0 \
+                             issued {}",
+                            b.kinds.len()
+                        ));
+                        return b;
+                    }
+                }
+            }
+            let extra = mine.count();
+            if extra > 0 {
+                b.divergence = Some(format!(
+                    "thread {lane} issued {} barrier(s) but thread 0 issued {}",
+                    b.kinds.len() + extra,
+                    b.kinds.len()
+                ));
+                return b;
+            }
+        }
+        b
+    }
+}
+
 /// Alignment groups; the numeric order fixes the deterministic issue order
 /// of divergent groups within one lockstep step.
 #[allow(clippy::disallowed_methods)] // derived PartialOrd: unit variants, total order

@@ -12,8 +12,8 @@ use npar::apps::{bc, bfs, pagerank, sort, spmv, sssp, tree_apps};
 use npar::core::{LoopParams, LoopTemplate, RecParams, RecTemplate};
 use npar::graph::{uniform_random, with_random_weights};
 use npar::sim::{
-    BlockCtx, CheckLevel, GBuf, Gpu, HazardKind, Kernel, KernelRef, LaunchConfig, SimError, Stream,
-    ThreadCtx, ThreadKernel,
+    BlockCtx, CheckLevel, CostModel, DeviceConfig, GBuf, Gpu, HazardKind, Kernel, KernelRef,
+    LaunchConfig, SimError, Stream, ThreadCtx, ThreadKernel,
 };
 use npar::tree::TreeGen;
 use rand::{Rng, SeedableRng};
@@ -262,6 +262,35 @@ fn seeded_invalid_child_launch_is_fatal_even_with_checks_off() {
     assert_eq!(hazards[0].kind, HazardKind::InvalidChildLaunch);
     assert!(
         hazards[0].details.contains("block_dim 4096"),
+        "{}",
+        hazards[0].details
+    );
+}
+
+#[test]
+fn unplaceable_child_block_is_an_invalid_child_launch() {
+    // Within every per-block limit, but no SM holds 256 threads of 32
+    // registers each; the 32-thread parent block fits.
+    let device = DeviceConfig {
+        registers_per_sm: 4096,
+        ..DeviceConfig::kepler_k20()
+    };
+    let mut gpu = Gpu::new(device, CostModel::default());
+    let buf = gpu.alloc::<u32>(32);
+    let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+    let err = gpu
+        .launch(
+            Arc::new(BadLauncher {
+                child,
+                block_dim: 256,
+            }),
+            LaunchConfig::new(1, 32),
+        )
+        .unwrap_err();
+    let hazards = hazards_of(err);
+    assert_eq!(hazards[0].kind, HazardKind::InvalidChildLaunch);
+    assert!(
+        hazards[0].details.contains("no SM can hold"),
         "{}",
         hazards[0].details
     );

@@ -271,3 +271,74 @@ impl npar::core::TreeReduce for PropDesc {
         self.vals.borrow_mut()[ancestor] += 1;
     }
 }
+
+struct OneCompute;
+
+impl npar::sim::ThreadKernel for OneCompute {
+    fn name(&self) -> &str {
+        "prop-place"
+    }
+    fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
+        t.compute(1);
+    }
+}
+
+/// Every launch a device accepts places every block on an SM exactly once:
+/// a block no SM can hold (threads, warps, blocks, registers or shared
+/// memory) is refused at launch instead of silently never running.
+#[test]
+fn accepted_launches_place_every_block() {
+    use npar::sim::{CostModel, DeviceConfig, LaunchConfig, SimError};
+    let mut rng = ChaCha8Rng::seed_from_u64(0x91ace);
+    let (mut accepted, mut refused) = (0, 0);
+    for case in 0..300 {
+        let device = DeviceConfig {
+            num_sms: rng.gen_range(1u32..4),
+            warp_size: [16u32, 32][rng.gen_range(0usize..2)],
+            max_threads_per_sm: rng.gen_range(32u32..=1024),
+            max_blocks_per_sm: rng.gen_range(0u32..=8),
+            max_warps_per_sm: rng.gen_range(0u32..=40),
+            shared_mem_per_sm: rng.gen_range(0u32..=32 * 1024),
+            shared_mem_per_block: rng.gen_range(0u32..=32 * 1024),
+            max_threads_per_block: rng.gen_range(1u32..=1024),
+            registers_per_sm: rng.gen_range(0u32..=65536),
+            registers_per_thread: rng.gen_range(1u32..=64),
+            ..DeviceConfig::tiny()
+        };
+        let shared = if rng.gen_range(0u32..2) == 0 {
+            0
+        } else {
+            rng.gen_range(0u32..=16 * 1024)
+        };
+        let cfg =
+            LaunchConfig::with_shared(rng.gen_range(1u32..=6), rng.gen_range(1u32..=1024), shared);
+        let mut gpu = Gpu::new(device.clone(), CostModel::default()).with_profiler(true);
+        match gpu.launch(Arc::new(OneCompute), cfg) {
+            Err(SimError::InvalidLaunch(_)) => {
+                refused += 1;
+                assert!(
+                    device.validate_launch(&cfg).is_err(),
+                    "case {case}: the public check agrees"
+                );
+                continue;
+            }
+            Err(e) => panic!("case {case}: unexpected error {e}"),
+            Ok(()) => accepted += 1,
+        }
+        gpu.synchronize();
+        let profile = gpu.take_profile();
+        let mut placed: Vec<u32> = profile
+            .blocks
+            .iter()
+            .filter(|b| b.grid == 0 && !b.resumed)
+            .map(|b| b.block)
+            .collect();
+        placed.sort_unstable();
+        let want: Vec<u32> = (0..cfg.grid_dim).collect();
+        assert_eq!(placed, want, "case {case}: {cfg:?} on {device:?}");
+    }
+    assert!(
+        accepted > 30 && refused > 30,
+        "accepted {accepted}, refused {refused}"
+    );
+}
