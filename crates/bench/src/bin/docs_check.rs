@@ -1,11 +1,12 @@
-//! Docs-freshness gate: every flag the shared parser accepts must be
-//! documented in README.md's flags table.
+//! Docs-freshness gate: README.md's flags table documents exactly the flags
+//! the shared parser accepts.
 //!
 //! [`runner::KNOWN_FLAGS`] is the contract: `runner::parse` and the table
-//! drift independently, and a flag shipped without a row is how operator
-//! docs rot. CI runs this binary (see ci.sh); it exits nonzero naming the
-//! first missing flag. The runner's own unit tests close the other half of
-//! the loop — every `KNOWN_FLAGS` entry must appear in `runner::USAGE` too.
+//! drift independently, and a flag shipped without a row, or a row left
+//! behind by a removed flag, is how operator docs rot. CI runs this binary
+//! (see ci.sh); it exits nonzero naming the first flag out of step. The
+//! runner's own unit tests close the loop — every `KNOWN_FLAGS` entry must
+//! appear in `runner::USAGE` too.
 
 use npar_bench::runner;
 
@@ -40,8 +41,26 @@ fn main() {
         );
         std::process::exit(1);
     }
+
+    // The other direction: a row's flag is its first backticked token, cut
+    // at the value syntax (`--check=strict`, `--profile[=<path>]`,
+    // `--threads N`).
+    let stale: Vec<&str> = rows
+        .iter()
+        .filter_map(|row| row.split('`').nth(1))
+        .map(|token| token.split(['[', '=', ' ']).next().unwrap_or(token))
+        .filter(|flag| !runner::KNOWN_FLAGS.contains(flag))
+        .collect();
+    if let Some(first) = stale.first() {
+        eprintln!(
+            "DOCS: README.md's flags table has a row for {first}, which runner::parse does not \
+             accept (all stale: {})",
+            stale.join(", ")
+        );
+        std::process::exit(1);
+    }
     println!(
-        "docs_check: all {} flags documented in README.md",
+        "docs_check: README.md documents exactly the {} accepted flags",
         runner::KNOWN_FLAGS.len()
     );
 }

@@ -16,7 +16,7 @@
 //! `invalid` also answers a line that does not parse as a request,
 //! including one that is not UTF-8).
 //! Per-shard and fleet-total stats go to stderr on shutdown, which also
-//! spills the result + memo cache when `--cache-dir` (or
+//! spills the result cache when `--cache-dir` (or
 //! `NPAR_SERVE_CACHE`) names a directory — see SERVING.md for the full
 //! operator walkthrough and a flag-by-flag reference.
 

@@ -3,8 +3,7 @@
 //! Every experiment binary shares one command-line surface, parsed once by
 //! [`parse`] and cached: `--check[=warn|strict]`, `--no-memo`,
 //! `--fast-forward=on|off`, `--threads N`, `--timing-threads N`,
-//! `--analytic[=off]`, `--consolidate[=off|warp|block|grid|auto]`,
-//! `--profile[=<path>]`,
+//! `--consolidate[=off|warp|block|grid|auto]`, `--profile[=<path>]`,
 //! `--analyze`, `--no-elide`, `--update-baseline` (acted on by the gated
 //! benchmarks only, accepted everywhere for uniformity), and the serving
 //! flags `--shards N`, `--queue N`, `--job-timeout-ms N`,
@@ -37,9 +36,6 @@ pub struct Args {
     /// `--timing-threads N` / `--timing-threads=N`: timing-pass worker
     /// lanes (DESIGN.md §13); results are bit-identical at any setting.
     pub timing_threads: Option<usize>,
-    /// `--analytic[=on|off]` (default off): closed-form timing for
-    /// uniform-wave grids when the analytic proof obligations hold.
-    pub analytic: bool,
     /// `--consolidate[=off|warp|block|grid|auto]` (default off; bare
     /// `--consolidate` selects `auto`): the dynamic-parallelism
     /// workload-consolidation pass (DESIGN.md §15).
@@ -80,7 +76,6 @@ impl Default for Args {
             fast_forward: true,
             threads: None,
             timing_threads: None,
-            analytic: false,
             consolidate: ConsolidateMode::Off,
             profile: None,
             analyze: false,
@@ -104,7 +99,6 @@ pub const KNOWN_FLAGS: &[&str] = &[
     "--fast-forward",
     "--threads",
     "--timing-threads",
-    "--analytic",
     "--consolidate",
     "--profile",
     "--analyze",
@@ -125,7 +119,6 @@ usage: <experiment> [flags]
   --fast-forward=on|off   toggle the timing-pass fast paths (default on)
   --threads N             host worker threads (default: NPAR_THREADS/cores)
   --timing-threads N      timing-pass worker lanes (default 1; DESIGN.md \u{a7}13)
-  --analytic[=on|off]     closed-form timing for uniform-wave grids (default off)
   --consolidate[=off|warp|block|grid|auto]  DP workload consolidation (bare = auto)
   --profile[=<path>]      export npar-prof Chrome traces (see PROFILING.md)
   --analyze               print npar-analyze verdicts and template advice
@@ -151,8 +144,6 @@ pub fn parse(args: &[String]) -> Result<Args, String> {
             "--fast-forward=on" => out.fast_forward = true,
             "--fast-forward=off" => out.fast_forward = false,
             "--profile" => out.profile = Some(None),
-            "--analytic" | "--analytic=on" => out.analytic = true,
-            "--analytic=off" => out.analytic = false,
             "--consolidate" => out.consolidate = ConsolidateMode::Auto,
             "--analyze" => out.analyze = true,
             "--no-elide" => out.elide = false,
@@ -242,8 +233,6 @@ pub fn parse(args: &[String]) -> Result<Args, String> {
                         Some(mode) => out.consolidate = mode,
                         None => return Err(format!("invalid --consolidate mode {v:?}")),
                     }
-                } else if let Some(v) = arg.strip_prefix("--analytic=") {
-                    return Err(format!("invalid --analytic value {v:?}"));
                 } else if let Some(v) = arg.strip_prefix("--check=") {
                     return Err(format!("invalid --check level {v:?}"));
                 } else if let Some(v) = arg.strip_prefix("--fast-forward=") {
@@ -318,13 +307,6 @@ pub fn thread_count() -> Option<usize> {
 /// and DESIGN.md §13).
 pub fn timing_thread_count() -> Option<usize> {
     parsed().timing_threads
-}
-
-/// Whether `--analytic` was passed: the timing pass may then finish
-/// uniform-wave grids in closed form when the analytic proof obligations
-/// hold; bit-identical to event replay whenever it engages.
-pub fn analytic_enabled() -> bool {
-    parsed().analytic
 }
 
 /// The `--consolidate[=off|warp|block|grid|auto]` mode (bare
@@ -454,7 +436,6 @@ pub fn with_check_flag(gpu: Gpu) -> Gpu {
         .with_fast_forward(fast_forward_enabled())
         .with_elide(elide_enabled())
         .with_analyze(analyze_enabled())
-        .with_analytic(analytic_enabled())
         .with_consolidation(consolidate_mode())
         .with_profiler(profiling());
     let gpu = match thread_count() {
@@ -567,7 +548,6 @@ mod tests {
             "8",
             "--timing-threads",
             "4",
-            "--analytic",
             "--profile=out.json",
             "--analyze",
             "--no-elide",
@@ -586,7 +566,6 @@ mod tests {
         assert!(!a.fast_forward);
         assert_eq!(a.threads, Some(8));
         assert_eq!(a.timing_threads, Some(4));
-        assert!(a.analytic);
         assert_eq!(a.profile, Some(Some("out.json".into())));
         assert!(a.analyze);
         assert!(!a.elide);
@@ -610,11 +589,8 @@ mod tests {
         assert_eq!(a.profile, Some(None));
         assert!(a.fast_forward);
 
-        let a = p(&["--timing-threads=8", "--analytic=on"]).unwrap();
+        let a = p(&["--timing-threads=8"]).unwrap();
         assert_eq!(a.timing_threads, Some(8));
-        assert!(a.analytic);
-        let a = p(&["--analytic=off"]).unwrap();
-        assert!(!a.analytic);
 
         // --consolidate: defaults off, bare selects auto, and each explicit
         // mode round-trips through the parser.
@@ -644,8 +620,8 @@ mod tests {
             &["--timing-threads=abc"],
             &["--timing-threads", "0"],
             &["--timing-threads"],
-            &["--analytic=maybe"],
-            &["--analytic="],
+            &["--analytic"],
+            &["--analytic=on"],
             &["--consolidate=maybe"],
             &["--consolidate="],
             &["--check=bogus"],
@@ -677,7 +653,7 @@ mod tests {
         }
         assert_eq!(
             KNOWN_FLAGS.len(),
-            16,
+            15,
             "keep KNOWN_FLAGS in sync with parse()"
         );
     }

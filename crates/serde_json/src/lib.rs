@@ -117,7 +117,7 @@ fn render_string(s: &str, out: &mut String) {
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses once
 /// per level, so without a bound a long enough line of `[` overflows the
 /// stack; the deepest document this workspace writes, the npar-serve spill,
-/// nests at most 10 levels.
+/// nests at most 7 levels.
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {

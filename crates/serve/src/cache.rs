@@ -1,11 +1,8 @@
-//! The persistent spill behind the service's result + memo cache.
+//! The persistent spill behind the service's result cache.
 //!
 //! On shutdown the service writes one JSON file, `serve_cache.json`, into
-//! its cache directory: every cached `(key, Report)` pair plus one
-//! [`MemoSnapshot`] per device signature (the union of every worker `Gpu`'s
-//! memo cache). On boot the file is read back: results pre-populate the
-//! result cache, and each snapshot warm-starts the workers that later build
-//! a `Gpu` for that signature.
+//! its cache directory: every cached `(key, Report)` pair. On boot the file
+//! is read back and pre-populates the result cache.
 //!
 //! Loading is deliberately forgiving: a missing, truncated, corrupt, or
 //! version-mismatched file means the service **starts cold** — a warning on
@@ -18,7 +15,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use npar_sim::{MemoSnapshot, Report};
+use npar_sim::Report;
 use serde::{Deserialize, Serialize, Value};
 
 /// Spill file name inside the cache directory.
@@ -26,7 +23,7 @@ pub const SPILL_FILE: &str = "serve_cache.json";
 
 /// Spill-format version; bumped whenever the layout changes. A mismatch is
 /// treated as corrupt (cold start), not migrated.
-const SPILL_VERSION: u64 = 1;
+const SPILL_VERSION: u64 = 2;
 
 /// Everything the service persists across restarts.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -34,9 +31,6 @@ pub struct Spill {
     /// Result cache: content key → served report (with host-observational
     /// `sim` stats already zeroed — see SERVING.md on determinism).
     pub results: Vec<(u64, Report)>,
-    /// Memo snapshots grouped by device signature
-    /// ([`crate::workload::device_sig`]).
-    pub memo: Vec<(String, MemoSnapshot)>,
 }
 
 impl Serialize for Spill {
@@ -51,20 +45,9 @@ impl Serialize for Spill {
                 ])
             })
             .collect();
-        let memo = self
-            .memo
-            .iter()
-            .map(|(sig, snap)| {
-                Value::Object(vec![
-                    ("device".into(), sig.to_value()),
-                    ("snapshot".into(), snap.to_value()),
-                ])
-            })
-            .collect();
         Value::Object(vec![
             ("version".into(), SPILL_VERSION.to_value()),
             ("results".into(), Value::Array(results)),
-            ("memo".into(), Value::Array(memo)),
         ])
     }
 }
@@ -80,14 +63,12 @@ impl Deserialize for Spill {
                 "spill: version {version} != supported {SPILL_VERSION}"
             )));
         }
-        let arr = |name: &str| -> Result<&[Value], serde::Error> {
-            match v.get(name) {
-                Some(Value::Array(items)) => Ok(items),
-                other => Err(serde::Error(format!("spill: bad {name}: {other:?}"))),
-            }
+        let records = match v.get("results") {
+            Some(Value::Array(items)) => items,
+            other => return Err(serde::Error(format!("spill: bad results: {other:?}"))),
         };
         let mut results = Vec::new();
-        for rec in arr("results")? {
+        for rec in records {
             let key = rec
                 .get("key")
                 .ok_or_else(|| serde::Error("spill result: missing key".into()))
@@ -98,19 +79,7 @@ impl Deserialize for Spill {
                 .and_then(Report::from_value)?;
             results.push((key, report));
         }
-        let mut memo = Vec::new();
-        for rec in arr("memo")? {
-            let sig = rec
-                .get("device")
-                .ok_or_else(|| serde::Error("spill memo: missing device".into()))
-                .and_then(String::from_value)?;
-            let snap = rec
-                .get("snapshot")
-                .ok_or_else(|| serde::Error("spill memo: missing snapshot".into()))
-                .and_then(MemoSnapshot::from_value)?;
-            memo.push((sig, snap));
-        }
-        Ok(Spill { results, memo })
+        Ok(Spill { results })
     }
 }
 
@@ -175,7 +144,6 @@ mod tests {
         let v = Value::Object(vec![
             ("version".into(), Value::Int(99)),
             ("results".into(), Value::Array(vec![])),
-            ("memo".into(), Value::Array(vec![])),
         ]);
         assert!(Spill::from_value(&v).is_err());
     }

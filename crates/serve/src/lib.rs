@@ -9,12 +9,12 @@
 //! * **In-flight dedupe** — requests are content-addressed
 //!   ([`workload::request_key`]); a request identical to one already queued
 //!   or running just registers as a waiter and receives the same report.
-//! * **Result cache** — completed reports are kept (and persisted) by key;
-//!   a repeat request is answered immediately.
-//! * **Memo warm start** — on shutdown every worker `Gpu`'s alignment memo
-//!   cache (DESIGN.md §8) is exported and spilled to disk next to the
-//!   results ([`cache`]); on boot the spill warm-starts the fleet, so even
-//!   *novel* requests over familiar kernel shapes replay cached alignment.
+//! * **Result cache** — completed reports are kept by key and spilled to
+//!   disk on shutdown ([`cache`]); a repeat request, before or after a
+//!   restart, is answered immediately.
+//! * **Warm workers** — each shard keeps one `Gpu` per device signature
+//!   ([`workload::device_sig`]) across jobs, so its alignment memo cache
+//!   (DESIGN.md §8) warms up in-process.
 //!
 //! Admission control is a bounded per-shard queue: a full queue sheds the
 //! request at submit time ([`SubmitError::Shed`]) instead of letting the
@@ -57,7 +57,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use npar_sim::{CostModel, Gpu, MemoSnapshot, Report, SimStats};
+use npar_sim::{CostModel, Gpu, Report, SimStats};
 use serde::{Deserialize, Serialize};
 
 pub mod cache;
@@ -166,8 +166,10 @@ pub struct Ticket {
 
 impl Ticket {
     /// Block until the response arrives. Every admitted request gets
-    /// exactly one response; a worker lost to a panic surfaces as
-    /// [`Response::Failed`].
+    /// exactly one response unless its shard's worker panics: worker
+    /// panics are not contained, the request then stays registered as in
+    /// flight, and this wait never returns. A dropped sender, which no
+    /// current path produces, answers [`Response::Failed`].
     pub fn wait(self) -> Response {
         self.rx
             .recv()
@@ -273,10 +275,6 @@ struct Inner {
     state: Mutex<CacheState>,
     counters: Vec<ShardCounters>,
     stop: AtomicBool,
-    /// Warm-start memo snapshots by device signature, read-only after boot.
-    warm: BTreeMap<String, MemoSnapshot>,
-    /// Memo exports parked by exiting workers, merged into the spill.
-    parked_memo: Mutex<Vec<(String, MemoSnapshot)>>,
 }
 
 /// The running service: worker threads plus the shared state. See the
@@ -292,14 +290,10 @@ impl Service {
     pub fn start(cfg: ServeConfig) -> Service {
         let shards = cfg.shards.max(1);
         let mut results = BTreeMap::new();
-        let mut warm: BTreeMap<String, MemoSnapshot> = BTreeMap::new();
         if let (Some(dir), false) = (&cfg.cache_dir, cfg.cold) {
             if let Some(spill) = cache::load(dir) {
                 for (key, report) in spill.results {
                     results.insert(key, Arc::new(report));
-                }
-                for (sig, snap) in spill.memo {
-                    warm.entry(sig).or_default().merge(&snap);
                 }
             }
         }
@@ -316,8 +310,6 @@ impl Service {
             }),
             counters: (0..shards).map(|_| ShardCounters::default()).collect(),
             stop: AtomicBool::new(false),
-            warm,
-            parked_memo: Mutex::new(Vec::new()),
             cfg,
         });
         let workers = (0..shards)
@@ -398,7 +390,7 @@ impl Service {
     }
 
     /// Drain every queued and in-flight job, stop the workers, spill the
-    /// result + memo cache (when configured), and return the folded stats.
+    /// result cache (when configured), and return the folded stats.
     pub fn join(mut self) -> ServeStats {
         // Drain: a key leaves `inflight` only when its response is sent.
         loop {
@@ -440,31 +432,15 @@ impl Service {
             })
     }
 
-    /// Assemble the spill: the whole result cache plus the workers' parked
-    /// memo snapshots merged per device signature (warm-start entries the
-    /// workers never re-built ride along via the boot snapshots).
+    /// Assemble the spill: the whole result cache.
     fn build_spill(&self) -> cache::Spill {
-        let results = {
-            let state = self.inner.state.lock().expect("serve state");
-            state
+        let state = self.inner.state.lock().expect("serve state");
+        cache::Spill {
+            results: state
                 .results
                 .iter()
                 .map(|(&key, report)| (key, (**report).clone()))
-                .collect()
-        };
-        let mut by_sig: BTreeMap<String, MemoSnapshot> = self.inner.warm.clone();
-        for (sig, snap) in self
-            .inner
-            .parked_memo
-            .lock()
-            .expect("parked memo")
-            .drain(..)
-        {
-            by_sig.entry(sig).or_default().merge(&snap);
-        }
-        cache::Spill {
-            results,
-            memo: by_sig.into_iter().collect(),
+                .collect(),
         }
     }
 }
@@ -498,14 +474,9 @@ fn worker(inner: &Inner, shard_idx: usize) {
             continue;
         }
 
-        let sig = device_sig(&job.req.device);
-        let gpu = gpus.entry(sig.clone()).or_insert_with(|| {
-            let mut gpu = Gpu::new(job.req.device.clone(), CostModel::default())
-                .with_threads(inner.cfg.gpu_threads.max(1));
-            if let Some(snap) = inner.warm.get(&sig) {
-                gpu.import_memo(snap);
-            }
-            gpu
+        let gpu = gpus.entry(device_sig(&job.req.device)).or_insert_with(|| {
+            Gpu::new(job.req.device.clone(), CostModel::default())
+                .with_threads(inner.cfg.gpu_threads.max(1))
         });
 
         match workload::drive(gpu, &job.req, deadline) {
@@ -538,15 +509,6 @@ fn worker(inner: &Inner, shard_idx: usize) {
                 counters.failed.fetch_add(1, Ordering::Relaxed);
                 finish(inner, job.key, &Response::Failed(e.to_string()), None);
             }
-        }
-    }
-
-    // Shutdown: park this shard's memo caches for the spill.
-    let mut parked = inner.parked_memo.lock().expect("parked memo");
-    for (sig, gpu) in gpus {
-        let snap = gpu.export_memo();
-        if !snap.is_empty() {
-            parked.push((sig, snap));
         }
     }
 }

@@ -38,6 +38,10 @@ pub const KERNELS: [&str; 6] = [
 
 /// Per-shard queue and validation cap on `grid × block` threads per launch.
 const MAX_THREADS_PER_LAUNCH: u64 = 1 << 22;
+/// Validation cap on `dataset.n`: `divergent` allocates `n` f32s, and the
+/// allocator's byte count must not overflow (the catalog defaults use
+/// `2^14`).
+const MAX_N: u64 = 1 << 30;
 /// Validation cap on launches per request.
 const MAX_LAUNCHES: u32 = 256;
 /// Validation cap on host streams per request.
@@ -130,10 +134,11 @@ pub fn request_key(req: &Request) -> u64 {
     fx(text.as_bytes())
 }
 
-/// The device signature memo spills are grouped by: a hash of the canonical
-/// `DeviceConfig` JSON, rendered as fixed-width hex. Memo entries replay
-/// saved timing verbatim, so a snapshot must never be imported into a `Gpu`
-/// with a different configuration.
+/// The device signature that keys each shard's pool of worker `Gpu`s: a
+/// hash of the canonical `DeviceConfig` JSON, rendered as fixed-width hex.
+/// A worker `Gpu` keeps its memo cache across jobs, and memo entries replay
+/// saved timing verbatim, so requests with different configurations never
+/// share one.
 pub fn device_sig(device: &DeviceConfig) -> String {
     let text = serde_json::to_string(device).expect("device JSON is infallible");
     format!("{:016x}", fx(text.as_bytes()))
@@ -154,6 +159,9 @@ pub fn validate(req: &Request) -> Result<(), String> {
     let d = &req.dataset;
     if d.grid == 0 || d.block == 0 || d.launches == 0 || d.n == 0 {
         return Err("dataset dims must be nonzero".into());
+    }
+    if d.n > MAX_N {
+        return Err(format!("n {} > {MAX_N}", d.n));
     }
     if u64::from(d.grid) * u64::from(d.block) > MAX_THREADS_PER_LAUNCH {
         return Err(format!(
@@ -599,6 +607,15 @@ mod tests {
         let mut r = Request::new("divergent");
         r.dataset.grid = 0;
         assert!(validate(&r).is_err());
+        // An `n` whose f32 byte count overflows the allocator, and the
+        // first value past the cap.
+        let mut r = Request::new("divergent");
+        r.dataset.n = 1 << 62;
+        assert!(validate(&r).unwrap_err().contains("n 4611686018427387904"));
+        r.dataset.n = MAX_N + 1;
+        assert!(validate(&r).is_err());
+        r.dataset.n = MAX_N;
+        assert!(validate(&r).is_ok());
         let mut r = Request::new("divergent");
         r.dataset.launches = MAX_LAUNCHES + 1;
         assert!(validate(&r).is_err());

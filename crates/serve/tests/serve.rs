@@ -89,13 +89,9 @@ fn persistence_round_trip_is_byte_identical() {
     let cold_stats = service.join();
     assert_eq!(cold_stats.served, requests.len() as u64);
 
-    // The spill exists and holds every result plus memo groups.
+    // The spill exists and holds every result.
     let spill = cache::load(&dir).expect("spill written on join");
     assert_eq!(spill.results.len(), requests.len());
-    assert!(
-        !spill.memo.is_empty(),
-        "worker memo caches spill alongside results"
-    );
 
     // Warm restart: every repeat request is answered from the restored
     // cache, byte-identical to the cold run.
@@ -113,10 +109,10 @@ fn persistence_round_trip_is_byte_identical() {
 }
 
 #[test]
-fn warm_memo_serves_novel_requests_fresh_and_identical() {
-    // A warm boot must not change what a *novel* request reports: memo
-    // replay is bit-identical to fresh alignment, so a salt never seen by
-    // the first service run reports the same bytes cold and warm.
+fn warm_boot_serves_novel_requests_fresh_and_identical() {
+    // A warm boot must not change what a *novel* request reports: a salt
+    // never seen by the first service run is simulated fresh and reports
+    // the same bytes as a service without a cache.
     let dir = tmp_dir("warm-novel");
     let cfg = |cache_dir: Option<PathBuf>, cold: bool| ServeConfig {
         shards: 1,
@@ -208,8 +204,50 @@ fn corrupt_or_truncated_spill_starts_cold() {
     service.join();
 
     // Wrong version: valid JSON, unsupported layout.
-    std::fs::write(&path, r#"{"version": 999, "results": [], "memo": []}"#).unwrap();
+    std::fs::write(&path, r#"{"version": 999, "results": []}"#).unwrap();
     assert!(cache::load(&dir).is_none(), "version mismatch rejected");
+
+    // The version-1 layout, which carried memo snapshots next to the
+    // results: the same results, so only the version and the `memo` array
+    // tell it apart, and it boots cold.
+    let serde::Value::Object(mut fields) = serde_json::parse(&valid).unwrap() else {
+        panic!("a spill is a JSON object");
+    };
+    assert!(
+        fields.iter().all(|(k, _)| k != "memo"),
+        "the spill carries no memo key"
+    );
+    let version = &mut fields
+        .iter_mut()
+        .find(|(k, _)| k == "version")
+        .expect("the spill is versioned")
+        .1;
+    assert_eq!(*version, serde::Value::Int(2));
+    *version = serde::Value::Int(1);
+    fields.push((
+        "memo".into(),
+        serde_json::parse(
+            r#"[{"device": "00c0ffee00c0ffee", "snapshot": {"version": 1,
+                "warps": [[7, 4636737291354636288, 42,
+                    [1, 2, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]]],
+                "blocks": []}}]"#,
+        )
+        .unwrap(),
+    ));
+    std::fs::write(
+        &path,
+        serde_json::to_string(&serde::Value::Object(fields)).unwrap(),
+    )
+    .unwrap();
+    assert!(cache::load(&dir).is_none(), "version-1 spill rejected");
+    let service = Service::start(cfg());
+    let resp = service.submit(&req).unwrap().wait();
+    assert_eq!(
+        source_of(&resp),
+        Source::Fresh,
+        "cold start after a version-1 spill"
+    );
+    service.join();
 
     // `cold: true` ignores even a valid spill.
     std::fs::write(&path, &valid).unwrap();

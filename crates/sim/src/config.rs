@@ -96,14 +96,6 @@ pub struct DeviceConfig {
     /// profiler timelines are bit-identical at any setting.
     /// `--timing-threads=N` / [`crate::Gpu::with_timing_threads`].
     pub timing_threads: usize,
-    /// Whether the timing pass may finish a timing-uniform grid in closed
-    /// form — occupancy-limited wave counts and completion times computed
-    /// arithmetically instead of dispatching per-block events — when the
-    /// analytic proof obligations hold (DESIGN.md §13). Bit-identical to
-    /// event replay whenever it engages; falls back to the event path
-    /// otherwise. Off by default; `--analytic` /
-    /// [`crate::Gpu::with_analytic`] enable it.
-    pub analytic: bool,
     /// Workload-consolidation mode for dynamic parallelism (DESIGN.md
     /// §15): how sibling device launches are aggregated into consolidated
     /// grids — and tiny leaves inlined — before the timing pass. Changes
@@ -144,7 +136,6 @@ impl DeviceConfig {
             elide: true,
             analyze: false,
             timing_threads: 1,
-            analytic: false,
             consolidate: ConsolidateMode::Off,
             consolidate_inline_threshold: 64,
         }
@@ -188,7 +179,6 @@ impl DeviceConfig {
             elide: true,
             analyze: false,
             timing_threads: 1,
-            analytic: false,
             consolidate: ConsolidateMode::Off,
             consolidate_inline_threshold: 64,
         }

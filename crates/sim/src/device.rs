@@ -8,7 +8,6 @@ use crate::engine::{register_grid, Engine, Origin};
 use crate::error::SimError;
 use crate::handle::{GBuf, GlobalAllocator};
 use crate::kernel::{KernelRef, LaunchConfig, Stream};
-use crate::memo::MemoSnapshot;
 use crate::prof::{Collector, Profile};
 use crate::profiler::Report;
 use crate::sched::simulate_full;
@@ -158,35 +157,6 @@ impl Gpu {
         self.engine.memo.is_some()
     }
 
-    /// Export the current memo-cache contents as a serializable
-    /// [`MemoSnapshot`] (DESIGN.md §14). Empty when memoization is
-    /// disabled or nothing has been simulated yet. Entries are sorted by
-    /// key, so the snapshot — and its serialized spill — is deterministic.
-    pub fn export_memo(&self) -> MemoSnapshot {
-        self.engine
-            .memo
-            .as_ref()
-            .map(crate::memo::MemoCache::export)
-            .unwrap_or_default()
-    }
-
-    /// Warm-start the memo cache from a previously exported snapshot.
-    /// Returns the number of entries inserted (zero when memoization is
-    /// disabled; existing in-process entries are never overwritten, and
-    /// the DESIGN.md §8 cache caps still apply).
-    ///
-    /// Snapshots replay saved timing verbatim, so they must come from a
-    /// `Gpu` with the same [`DeviceConfig`] and [`CostModel`] — callers
-    /// key spills by a device signature. Replay is bit-identical to fresh
-    /// alignment, so a warm-started `Gpu` produces the same `Report`s a
-    /// cold one would.
-    pub fn import_memo(&mut self, snap: &MemoSnapshot) -> usize {
-        match self.engine.memo.as_mut() {
-            Some(cache) => cache.absorb(snap),
-            None => 0,
-        }
-    }
-
     /// Enable or disable the timing-pass fast paths — cohort event
     /// batching and homogeneous-grid fast-forward (see DESIGN.md §11). On
     /// by default; like memoization this is a pure host-side speedup —
@@ -234,28 +204,6 @@ impl Gpu {
     /// Current timing-pass worker-lane count.
     pub fn timing_threads(&self) -> usize {
         self.engine.device.timing_threads
-    }
-
-    /// Enable or disable the analytic closed-form timing mode (see
-    /// DESIGN.md §13). Off by default. When enabled, the timing pass may
-    /// finish a timing-uniform grid by wave arithmetic instead of event
-    /// dispatch whenever the analytic proof obligations hold; results are
-    /// bit-identical to event replay whenever it engages (`--analytic` on
-    /// the bench binaries, `--analytic=off` to disable).
-    pub fn set_analytic(&mut self, enabled: bool) {
-        self.engine.device.analytic = enabled;
-    }
-
-    /// Builder-style [`Gpu::set_analytic`].
-    #[must_use]
-    pub fn with_analytic(mut self, enabled: bool) -> Self {
-        self.set_analytic(enabled);
-        self
-    }
-
-    /// Whether the analytic timing mode is enabled.
-    pub fn analytic_enabled(&self) -> bool {
-        self.engine.device.analytic
     }
 
     /// Select the workload-consolidation mode for dynamic parallelism
@@ -486,7 +434,6 @@ impl Gpu {
         self.engine.stats.timing_domains += sched_stats.domains;
         self.engine.stats.timing_domains_committed += sched_stats.domains_committed;
         self.engine.stats.timing_rollbacks += sched_stats.domains_rolled_back;
-        self.engine.stats.analytic_grids += sched_stats.analytic_runs;
         if let Some(col) = prof {
             col.finish(
                 &self.engine.grids,

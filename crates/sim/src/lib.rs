@@ -75,7 +75,6 @@ pub use device::Gpu;
 pub use error::SimError;
 pub use handle::{GBuf, GlobalAllocator};
 pub use kernel::{BlockState, Kernel, KernelRef, LaunchConfig, Stream, ThreadKernel};
-pub use memo::MemoSnapshot;
 pub use prof::{BlockSpan, KernelSpan, LaunchFlow, Profile};
 pub use profiler::{KernelMetrics, Report, SimStats, StallCycles};
 pub use sync::SyncCell;

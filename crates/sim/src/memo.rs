@@ -48,7 +48,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::block::{BlockOutcome, SegmentTask};
+use crate::block::BlockOutcome;
 use crate::kernel::LaunchConfig;
 use crate::profiler::{KernelMetrics, SimStats};
 use crate::trace::Op;
@@ -417,391 +417,6 @@ impl MemoCache {
     }
 }
 
-// === Persistent spill (DESIGN.md §14) ========================================
-//
-// The cache is content-addressed — keys are pure functions of canonicalized
-// traces and launch configs, never of run-local state — so entries survive a
-// process boundary byte-for-byte. `MemoSnapshot` is the serializable form:
-// every f64 is stored as its IEEE-754 bit pattern (`to_bits`) so a spill →
-// restore round trip is bitwise exact regardless of how the JSON layer
-// formats floats, and entry lists are sorted by key so the spill bytes are
-// deterministic (the backing `FastMap` iterates in table order).
-
-use serde::{Deserialize as De, Error as SerdeError, Serialize as Ser, Value};
-
-/// Spill-format version; bumped whenever the entry layout changes. A
-/// mismatched snapshot fails to deserialize and the importer starts cold.
-const SNAPSHOT_VERSION: u64 = 1;
-
-/// A serializable snapshot of the alignment memo cache (DESIGN.md §14).
-///
-/// Produced by [`crate::Gpu::export_memo`] and consumed by
-/// [`crate::Gpu::import_memo`] to warm-start a fresh `Gpu` from a previous
-/// run's cache. Snapshots are only meaningful for the *same* device
-/// configuration and cost model: entries replay saved timing verbatim, so
-/// callers (npar-serve's persistent cache) key spills by a device signature
-/// and never mix configs.
-///
-/// Replayed entries are bit-identical to fresh alignment (the memo
-/// differential suite proves memo-on == memo-off), and the snapshot encodes
-/// every float by bit pattern, so a warm-started `Gpu` produces `Report`s
-/// byte-identical to a cold one.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemoSnapshot {
-    warps: Vec<(u64, WarpEntry)>,
-    blocks: Vec<(u64, BlockEntry)>,
-}
-
-impl MemoSnapshot {
-    /// Number of warp-segment entries in the snapshot.
-    pub fn warp_entries(&self) -> usize {
-        self.warps.len()
-    }
-
-    /// Number of whole-block entries in the snapshot.
-    pub fn block_entries(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether the snapshot carries no entries at all.
-    pub fn is_empty(&self) -> bool {
-        self.warps.is_empty() && self.blocks.is_empty()
-    }
-
-    /// Fold another snapshot's entries into this one. Existing keys win
-    /// (entries are content-addressed, so same key ⇒ same timing; first
-    /// wins keeps the merge order-insensitive in effect), and sorted order
-    /// is restored so a merged spill stays deterministic.
-    pub fn merge(&mut self, other: &MemoSnapshot) {
-        let mut have: Vec<u64> = self.warps.iter().map(|&(k, _)| k).collect();
-        have.sort_unstable();
-        for (k, e) in &other.warps {
-            if have.binary_search(k).is_err() {
-                self.warps.push((*k, e.clone()));
-            }
-        }
-        let mut have: Vec<u64> = self.blocks.iter().map(|&(k, _)| k).collect();
-        have.sort_unstable();
-        for (k, e) in &other.blocks {
-            if have.binary_search(k).is_err() {
-                self.blocks.push((*k, e.clone()));
-            }
-        }
-        self.warps.sort_unstable_by_key(|&(k, _)| k);
-        self.blocks.sort_unstable_by_key(|&(k, _)| k);
-    }
-}
-
-/// Bitwise metric equality: the derived `PartialEq` uses float `==`, which
-/// is both too weak (NaN != NaN) and too strong (-0.0 == 0.0) for snapshot
-/// round-trip checks.
-fn metrics_bits_eq(a: &KernelMetrics, b: &KernelMetrics) -> bool {
-    metrics_to_value(a) == metrics_to_value(b)
-}
-
-impl PartialEq for WarpEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycles.to_bits() == other.cycles.to_bits()
-            && metrics_bits_eq(&self.metrics, &other.metrics)
-            && self.ops == other.ops
-    }
-}
-
-impl PartialEq for BlockEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.outcome.warps == other.outcome.warps
-            && self.outcome.replayed == other.outcome.replayed
-            && self.outcome.segments.len() == other.outcome.segments.len()
-            && self
-                .outcome
-                .segments
-                .iter()
-                .zip(&other.outcome.segments)
-                .all(|(a, b)| {
-                    a.span.to_bits() == b.span.to_bits()
-                        && a.work.to_bits() == b.work.to_bits()
-                        && a.wait_children == b.wait_children
-                        && a.launches.len() == b.launches.len()
-                        && a.launches
-                            .iter()
-                            .zip(&b.launches)
-                            .all(|(x, y)| x.0 == y.0 && x.1.to_bits() == y.1.to_bits())
-                })
-            && metrics_bits_eq(&self.metrics, &other.metrics)
-            && self.ops == other.ops
-    }
-}
-
-/// Encode an f64 as its bit pattern (bitwise-exact across the JSON layer).
-fn bits(f: f64) -> Value {
-    f.to_bits().to_value()
-}
-
-/// Decode an f64 stored as a bit pattern.
-fn unbits(v: &Value) -> Result<f64, SerdeError> {
-    Ok(f64::from_bits(u64::from_value(v)?))
-}
-
-fn as_array<'v>(v: &'v Value, what: &str) -> Result<&'v [Value], SerdeError> {
-    match v {
-        Value::Array(items) => Ok(items),
-        other => Err(SerdeError(format!("{what}: expected array, got {other:?}"))),
-    }
-}
-
-/// Flatten a [`KernelMetrics`] into a fixed 23-element array (counters as
-/// integers, floats as bit patterns) — positional, compact, and exact.
-fn metrics_to_value(m: &KernelMetrics) -> Value {
-    Value::Array(vec![
-        m.grids.to_value(),
-        m.blocks.to_value(),
-        m.threads.to_value(),
-        bits(m.issue_slots),
-        bits(m.active_slots),
-        m.gld_requested_bytes.to_value(),
-        m.gld_transactions.to_value(),
-        m.gst_requested_bytes.to_value(),
-        m.gst_transactions.to_value(),
-        m.shared_accesses.to_value(),
-        m.shared_replays.to_value(),
-        m.atomics_global.to_value(),
-        m.atomics_shared.to_value(),
-        m.device_launches.to_value(),
-        m.barriers.to_value(),
-        bits(m.work_cycles),
-        bits(m.stalls.compute),
-        bits(m.stalls.divergence),
-        bits(m.stalls.gmem),
-        bits(m.stalls.shared),
-        bits(m.stalls.atomic),
-        bits(m.stalls.launch),
-        bits(m.stalls.barrier),
-    ])
-}
-
-fn metrics_from_value(v: &Value) -> Result<KernelMetrics, SerdeError> {
-    let a = as_array(v, "metrics")?;
-    if a.len() != 23 {
-        return Err(SerdeError(format!(
-            "metrics: expected 23 fields, got {}",
-            a.len()
-        )));
-    }
-    Ok(KernelMetrics {
-        grids: u64::from_value(&a[0])?,
-        blocks: u64::from_value(&a[1])?,
-        threads: u64::from_value(&a[2])?,
-        issue_slots: unbits(&a[3])?,
-        active_slots: unbits(&a[4])?,
-        gld_requested_bytes: u64::from_value(&a[5])?,
-        gld_transactions: u64::from_value(&a[6])?,
-        gst_requested_bytes: u64::from_value(&a[7])?,
-        gst_transactions: u64::from_value(&a[8])?,
-        shared_accesses: u64::from_value(&a[9])?,
-        shared_replays: u64::from_value(&a[10])?,
-        atomics_global: u64::from_value(&a[11])?,
-        atomics_shared: u64::from_value(&a[12])?,
-        device_launches: u64::from_value(&a[13])?,
-        barriers: u64::from_value(&a[14])?,
-        work_cycles: unbits(&a[15])?,
-        stalls: crate::profiler::StallCycles {
-            compute: unbits(&a[16])?,
-            divergence: unbits(&a[17])?,
-            gmem: unbits(&a[18])?,
-            shared: unbits(&a[19])?,
-            atomic: unbits(&a[20])?,
-            launch: unbits(&a[21])?,
-            barrier: unbits(&a[22])?,
-        },
-    })
-}
-
-impl Ser for MemoSnapshot {
-    fn to_value(&self) -> Value {
-        let warps = self
-            .warps
-            .iter()
-            .map(|(key, e)| {
-                Value::Array(vec![
-                    key.to_value(),
-                    bits(e.cycles),
-                    e.ops.to_value(),
-                    metrics_to_value(&e.metrics),
-                ])
-            })
-            .collect();
-        let blocks = self
-            .blocks
-            .iter()
-            .map(|(key, e)| {
-                let segments = e
-                    .outcome
-                    .segments
-                    .iter()
-                    .map(|s| {
-                        let launches = s
-                            .launches
-                            .iter()
-                            .map(|&(grid, off)| Value::Array(vec![grid.to_value(), bits(off)]))
-                            .collect();
-                        Value::Array(vec![
-                            bits(s.span),
-                            bits(s.work),
-                            s.wait_children.to_value(),
-                            Value::Array(launches),
-                        ])
-                    })
-                    .collect();
-                Value::Array(vec![
-                    key.to_value(),
-                    e.outcome.warps.to_value(),
-                    e.ops.to_value(),
-                    metrics_to_value(&e.metrics),
-                    Value::Array(segments),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("version".into(), SNAPSHOT_VERSION.to_value()),
-            ("warps".into(), Value::Array(warps)),
-            ("blocks".into(), Value::Array(blocks)),
-        ])
-    }
-}
-
-impl De for MemoSnapshot {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        let version = v
-            .get("version")
-            .ok_or_else(|| SerdeError("memo snapshot: missing version".into()))
-            .and_then(u64::from_value)?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SerdeError(format!(
-                "memo snapshot: version {version} != supported {SNAPSHOT_VERSION}"
-            )));
-        }
-        let mut warps = Vec::new();
-        for rec in as_array(
-            v.get("warps")
-                .ok_or_else(|| SerdeError("memo snapshot: missing warps".into()))?,
-            "warps",
-        )? {
-            let f = as_array(rec, "warp entry")?;
-            if f.len() != 4 {
-                return Err(SerdeError("warp entry: expected 4 fields".into()));
-            }
-            warps.push((
-                u64::from_value(&f[0])?,
-                WarpEntry {
-                    cycles: unbits(&f[1])?,
-                    ops: u64::from_value(&f[2])?,
-                    metrics: metrics_from_value(&f[3])?,
-                },
-            ));
-        }
-        let mut blocks = Vec::new();
-        for rec in as_array(
-            v.get("blocks")
-                .ok_or_else(|| SerdeError("memo snapshot: missing blocks".into()))?,
-            "blocks",
-        )? {
-            let f = as_array(rec, "block entry")?;
-            if f.len() != 5 {
-                return Err(SerdeError("block entry: expected 5 fields".into()));
-            }
-            let mut segments = Vec::new();
-            for seg in as_array(&f[4], "segments")? {
-                let s = as_array(seg, "segment")?;
-                if s.len() != 4 {
-                    return Err(SerdeError("segment: expected 4 fields".into()));
-                }
-                let mut launches = Vec::new();
-                for l in as_array(&s[3], "launches")? {
-                    let pair = as_array(l, "launch")?;
-                    if pair.len() != 2 {
-                        return Err(SerdeError("launch: expected 2 fields".into()));
-                    }
-                    launches.push((u32::from_value(&pair[0])?, unbits(&pair[1])?));
-                }
-                segments.push(SegmentTask {
-                    span: unbits(&s[0])?,
-                    work: unbits(&s[1])?,
-                    wait_children: bool::from_value(&s[2])?,
-                    launches,
-                });
-            }
-            if segments.is_empty() {
-                return Err(SerdeError("block entry: no segments".into()));
-            }
-            blocks.push((
-                u64::from_value(&f[0])?,
-                BlockEntry {
-                    outcome: BlockOutcome {
-                        warps: u32::from_value(&f[1])?,
-                        segments,
-                        // Stored entries are never themselves replays; the
-                        // flag is set on the clone handed to a hitting block.
-                        replayed: false,
-                    },
-                    ops: u64::from_value(&f[2])?,
-                    metrics: metrics_from_value(&f[3])?,
-                },
-            ));
-        }
-        Ok(MemoSnapshot { warps, blocks })
-    }
-}
-
-impl MemoCache {
-    /// Export every entry as a [`MemoSnapshot`], sorted by key so the spill
-    /// bytes are deterministic regardless of map iteration order.
-    pub(crate) fn export(&self) -> MemoSnapshot {
-        let mut warps: Vec<(u64, WarpEntry)> =
-            self.warps.iter().map(|(&k, e)| (k, e.clone())).collect();
-        let mut blocks: Vec<(u64, BlockEntry)> =
-            self.blocks.iter().map(|(&k, e)| (k, e.clone())).collect();
-        warps.sort_unstable_by_key(|&(k, _)| k);
-        blocks.sort_unstable_by_key(|&(k, _)| k);
-        MemoSnapshot { warps, blocks }
-    }
-
-    /// Import a snapshot's entries, respecting the cache caps and skipping
-    /// keys already present (live entries were derived in-process and win).
-    /// Launch-bearing block entries are rejected defensively: grid ids are
-    /// run-specific, and the cache never stores them to begin with. Returns
-    /// the number of entries actually inserted.
-    pub(crate) fn absorb(&mut self, snap: &MemoSnapshot) -> usize {
-        let mut inserted = 0;
-        for (key, entry) in &snap.warps {
-            if self.warps_full() {
-                break;
-            }
-            if !self.warps.contains_key(key) {
-                self.warps.insert(*key, entry.clone());
-                inserted += 1;
-            }
-        }
-        for (key, entry) in &snap.blocks {
-            if self.blocks_full() {
-                break;
-            }
-            if entry
-                .outcome
-                .segments
-                .iter()
-                .any(|s| !s.launches.is_empty())
-            {
-                continue;
-            }
-            if !self.blocks.contains_key(key) {
-                self.blocks.insert(*key, entry.clone());
-                inserted += 1;
-            }
-        }
-        inserted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1023,107 +638,6 @@ mod tests {
         assert!(d.enabled);
         d.eval();
         assert!(d.enabled && d.window_attempts == EVAL_MIN - 1);
-    }
-
-    #[test]
-    fn snapshot_roundtrip_is_bitwise_exact() {
-        // Build a cache with adversarial float values — negative zero,
-        // subnormals, infinities, NaN — and prove export → Value → import
-        // restores every bit. (The JSON text layer is exercised end-to-end
-        // by crates/serve's persistence tests; here the Value layer, where
-        // the bit encoding lives, is what matters.)
-        let mut cache = MemoCache::default();
-        let mut metrics = KernelMetrics {
-            grids: 1,
-            blocks: 2,
-            threads: 64,
-            issue_slots: f64::INFINITY,
-            active_slots: -0.0,
-            work_cycles: f64::from_bits(1), // smallest subnormal
-            ..Default::default()
-        };
-        metrics.stalls.compute = f64::NAN;
-        metrics.stalls.gmem = 1.0e-300;
-        cache.insert_warp(
-            7,
-            WarpEntry {
-                cycles: f64::NAN,
-                metrics: metrics.clone(),
-                ops: 42,
-            },
-        );
-        cache.insert_block(
-            9,
-            BlockEntry {
-                outcome: BlockOutcome {
-                    warps: 3,
-                    segments: vec![SegmentTask {
-                        span: -0.0,
-                        work: f64::MIN_POSITIVE / 2.0,
-                        wait_children: true,
-                        launches: vec![],
-                    }],
-                    replayed: false,
-                },
-                metrics,
-                ops: 99,
-            },
-        );
-        let snap = cache.export();
-        let restored = MemoSnapshot::from_value(&snap.to_value()).expect("roundtrip");
-        assert_eq!(snap, restored);
-        assert_eq!(restored.warp_entries(), 1);
-        assert_eq!(restored.block_entries(), 1);
-        // Absorbing into a fresh cache re-exports the identical snapshot.
-        let mut fresh = MemoCache::default();
-        assert_eq!(fresh.absorb(&restored), 2);
-        assert_eq!(fresh.export(), snap);
-        // Absorb never overwrites live entries and is idempotent.
-        assert_eq!(fresh.absorb(&restored), 0);
-    }
-
-    #[test]
-    fn snapshot_rejects_bad_shapes() {
-        use serde::Value;
-        // Wrong version.
-        let v = Value::Object(vec![
-            ("version".into(), Value::Int(999)),
-            ("warps".into(), Value::Array(vec![])),
-            ("blocks".into(), Value::Array(vec![])),
-        ]);
-        assert!(MemoSnapshot::from_value(&v).is_err());
-        // Missing fields.
-        assert!(MemoSnapshot::from_value(&Value::Object(vec![])).is_err());
-        // Malformed entry record.
-        let v = Value::Object(vec![
-            ("version".into(), Value::Int(1)),
-            ("warps".into(), Value::Array(vec![Value::Array(vec![])])),
-            ("blocks".into(), Value::Array(vec![])),
-        ]);
-        assert!(MemoSnapshot::from_value(&v).is_err());
-        // Launch-bearing block entries are skipped on absorb (grid ids are
-        // run-specific), not trusted.
-        let mut snap = MemoSnapshot::default();
-        snap.blocks.push((
-            1,
-            BlockEntry {
-                outcome: BlockOutcome {
-                    warps: 1,
-                    segments: vec![SegmentTask {
-                        span: 1.0,
-                        work: 1.0,
-                        wait_children: false,
-                        launches: vec![(3, 0.5)],
-                    }],
-                    replayed: false,
-                },
-                metrics: KernelMetrics::default(),
-                ops: 1,
-            },
-        ));
-        let mut cache = MemoCache::default();
-        assert_eq!(cache.absorb(&snap), 0);
-        assert!(cache.blocks.is_empty());
     }
 
     #[test]

@@ -47,10 +47,9 @@ pub struct Occupancy {
 /// Per-SM block-residency limit for one configuration: the `min` over the
 /// four hardware limits, exactly the ceiling the scheduler's placement
 /// scan can reach by repeated `block_fits`. Shared by [`occupancy`] and
-/// the timing pass's analytic mode, whose span-bound proof obligation
-/// needs the worst-case residency a dispatch can observe (DESIGN.md §13).
-/// No block-size assertion: scheduler-internal callers pass
-/// configurations that already passed launch validation.
+/// launch validation ([`DeviceConfig::validate_launch`]), which is why it
+/// makes no block-size assertion: validation calls it on configurations
+/// it has not accepted yet.
 pub(crate) fn block_residency_limit(
     device: &DeviceConfig,
     block_dim: u32,

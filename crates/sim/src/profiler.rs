@@ -226,9 +226,6 @@ pub struct SimStats {
     pub timing_domains_committed: u64,
     /// Timing domains replayed serially after a time-window conflict.
     pub timing_rollbacks: u64,
-    /// Grids the analytic mode finished in closed form (see
-    /// [`crate::Gpu::set_analytic`]).
-    pub analytic_grids: u64,
     /// Sibling-launch groups the consolidation pass merged (DESIGN.md §15).
     pub consolidated_groups: u64,
     /// Device grids merged away into a consolidated sibling grid.
@@ -253,7 +250,6 @@ impl SimStats {
         self.timing_domains += other.timing_domains;
         self.timing_domains_committed += other.timing_domains_committed;
         self.timing_rollbacks += other.timing_rollbacks;
-        self.analytic_grids += other.analytic_grids;
         self.consolidated_groups += other.consolidated_groups;
         self.consolidated_grids += other.consolidated_grids;
         self.inlined_grids += other.inlined_grids;
@@ -551,7 +547,6 @@ mod tests {
             timing_domains: 5,
             timing_domains_committed: 4,
             timing_rollbacks: 1,
-            analytic_grids: 2,
             consolidated_groups: 1,
             consolidated_grids: 3,
             inlined_grids: 2,

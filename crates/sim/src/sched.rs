@@ -38,7 +38,6 @@ use std::collections::VecDeque;
 use crate::config::DeviceConfig;
 use crate::cost::CostModel;
 use crate::engine::{GridTask, Origin};
-use crate::occupancy;
 use crate::prof::Collector;
 
 /// Hardware work-queue window: how many grids the dispatcher considers
@@ -73,8 +72,6 @@ pub(crate) struct SchedStats {
     pub domains_committed: u64,
     /// Domains replayed serially after a time-window conflict.
     pub domains_rolled_back: u64,
-    /// Grids completed in closed form by the analytic mode.
-    pub analytic_runs: u64,
 }
 
 #[allow(clippy::disallowed_methods)] // derived PartialOrd: integer fields, total order
@@ -421,9 +418,6 @@ struct Sim<'a> {
     /// ([`DeviceConfig::fast_forward`]). The calendar queue and the
     /// `try_admit` scan memos are exact containers/caches and stay on.
     fast: bool,
-    /// Whether the closed-form analytic mode may finish uniform grids
-    /// ([`DeviceConfig::analytic`], DESIGN.md §13).
-    analytic: bool,
     /// Timing-domain membership filter: `(rank, lo, hi)` restricts this
     /// run to grids whose domain rank is in `lo..hi` — only their host
     /// releases are seeded, so execution never leaves the window. `None`
@@ -453,9 +447,6 @@ struct Sim<'a> {
     scanned_epoch: u64,
     /// Reusable fast-forward wheel buffer.
     wheel: Vec<(f64, u64, WheelEv)>,
-    /// Reusable analytic-mode drain buffer (raw queue entries, so a failed
-    /// wave-synchrony check can restore the queue untouched).
-    wheel_raw: Vec<(f64, u64, Ev)>,
     /// Reusable `try_admit` scratch (failed placement signatures).
     scratch_failed: Vec<(u32, u32)>,
     /// Reusable `try_admit` scratch (exhausted window slots).
@@ -465,7 +456,6 @@ struct Sim<'a> {
     /// condition quietly never held).
     stat_wheel_runs: u64,
     stat_cohort_fanouts: u64,
-    stat_analytic_runs: u64,
 }
 
 /// Simulate the timing of a batch of executed grids, optionally recording
@@ -509,7 +499,6 @@ struct DomainOut {
     overflow: u64,
     terms: Vec<f64>,
     collector: Option<Collector>,
-    analytic_runs: u64,
 }
 
 /// Run the grids whose domain rank falls in `lo..hi` as one isolated
@@ -529,14 +518,12 @@ fn run_domain(
     let makespan = sim.makespan;
     let overflow = sim.overflow_launches;
     let terms = std::mem::take(&mut sim.integral_terms);
-    let analytic_runs = sim.stat_analytic_runs;
     drop(sim);
     DomainOut {
         makespan,
         overflow,
         terms,
         collector: col,
-        analytic_runs,
     }
 }
 
@@ -655,7 +642,6 @@ pub(crate) fn simulate_full(
     if device.timing_threads <= 1 || grids.len() < 2 {
         let mut sim = Sim::new(grids, device, cost, prof);
         sim.run();
-        stats.analytic_runs = sim.stat_analytic_runs;
         return (
             to_result(
                 sim.makespan,
@@ -671,7 +657,6 @@ pub(crate) fn simulate_full(
     if ndom <= 1 {
         let mut sim = Sim::new(grids, device, cost, prof);
         sim.run();
-        stats.analytic_runs = sim.stat_analytic_runs;
         return (
             to_result(
                 sim.makespan,
@@ -754,7 +739,6 @@ pub(crate) fn simulate_full(
             warp_integral += term;
         }
         overflow += out.overflow;
-        stats.analytic_runs += out.analytic_runs;
         if let Some(col) = out.collector {
             if let Some(p) = prof.as_deref_mut() {
                 p.absorb(col);
@@ -880,7 +864,6 @@ impl<'a> Sim<'a> {
             overflow_launches: 0,
             prof,
             fast: device.fast_forward,
-            analytic: device.analytic,
             filter,
             integral_terms: Vec::new(),
             pending: None,
@@ -890,12 +873,10 @@ impl<'a> Sim<'a> {
             fit_epoch: 0,
             scanned_epoch: u64::MAX,
             wheel: Vec::new(),
-            wheel_raw: Vec::new(),
             scratch_failed: Vec::new(),
             scratch_exhausted: Vec::new(),
             stat_wheel_runs: 0,
             stat_cohort_fanouts: 0,
-            stat_analytic_runs: 0,
         };
         // Host launches serialize on the host thread: the i-th host launch
         // becomes schedulable after i+1 launch overheads. A domain filter
@@ -1037,7 +1018,7 @@ impl<'a> Sim<'a> {
                     Some(g)
                 }
             };
-            if self.fast || self.analytic {
+            if self.fast {
                 self.maybe_fast_forward(hint);
             }
         }
@@ -1422,183 +1403,7 @@ impl<'a> Sim<'a> {
                 }
             }
         }
-        if self.analytic && self.try_analytic(g) {
-            return;
-        }
-        if self.fast {
-            self.fast_forward(g);
-        }
-    }
-
-    /// Closed-form analytic completion of the sole runnable grid `g`
-    /// (DESIGN.md §13). Entry shares `maybe_fast_forward`'s preconditions;
-    /// on top of those, three proof obligations decide whether the closed
-    /// form is *exact*:
-    ///
-    /// 1. **Span-bound at depth**: at the deepest residency any SM can
-    ///    reach for this configuration (the occupancy-calculator block
-    ///    ceiling), the rate model still satisfies `work / rate <= span`,
-    ///    so every remaining segment duration is bitwise `span` no matter
-    ///    how blocks are placed.
-    /// 2. **Replacement locality**: while undispatched blocks remain, no
-    ///    SM currently fits one — each teardown's replacement can then
-    ///    only land on the SM just vacated, so placement is forced and
-    ///    `pick_sm` is deterministic per member.
-    /// 3. **Wave synchrony**: every queued completion of `g` carries one
-    ///    bitwise-identical time — the remaining schedule is a sequence of
-    ///    aligned waves spaced exactly `span` apart.
-    ///
-    /// Under 1–3 event dispatch is redundant: each wave's completions pop
-    /// in member seq order, replacements inherit the vacated SMs, and the
-    /// next wave ends at `t + span` — which is exactly what this replay
-    /// performs, wave by wave, with the slow path's per-member operations
-    /// (profiler spans, seq assignment, teardown order) but no queue
-    /// traffic. Returns `false` without observable effect when any
-    /// obligation fails, falling back to the wheel or the event loop.
-    fn try_analytic(&mut self, g: usize) -> bool {
-        let total = self.grids[g].blocks.len();
-        let need = self.need[g];
-        let b0 = &self.grids[g].blocks[0];
-        let (span, work, w) = (
-            b0.segments[0].span,
-            b0.segments[0].work,
-            f64::from(b0.warps),
-        );
-        let iw = self.device.issue_width();
-        // Obligation 1: span-bound at the deepest reachable residency.
-        let cap_blocks = occupancy::block_residency_limit(self.device, need.threads, need.smem);
-        let cap = cap_blocks
-            .saturating_mul(need.warps)
-            .min(self.device.max_warps_per_sm)
-            .max(1);
-        let rate_full = (iw * w / f64::from(cap)).min(w);
-        // NaN fails closed: `!(x <= span)` rejects an unrepresentable
-        // ratio, which the sign-flipped `x > span` would silently accept.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(work / rate_full <= span) {
-            return false;
-        }
-        // Obligation 2: replacement placement is forced-local. (try_admit
-        // ran before this, so a fitting SM with blocks left should be
-        // impossible; checked anyway since the proof leans on it.)
-        if self.grt[g].next_block < total && self.pick_sm(g).is_some() {
-            return false;
-        }
-        // Obligation 3: the queued completions form one synchronized wave.
-        let mut raw = std::mem::take(&mut self.wheel_raw);
-        raw.clear();
-        while let Some(e) = self.queue.pop() {
-            raw.push(e);
-        }
-        let mut t0 = f64::NAN;
-        let mut sync = true;
-        for &(t, _, ev) in &raw {
-            if !matches!(ev, Ev::Release(_)) {
-                if t0.is_nan() {
-                    t0 = t;
-                } else if t.to_bits() != t0.to_bits() {
-                    sync = false;
-                    break;
-                }
-            }
-        }
-        if !sync {
-            // Restore the queue untouched; original seqs keep the order.
-            for &(t, s, ev) in &raw {
-                self.queue.push(t, s, ev);
-            }
-            self.wheel_raw = raw;
-            return false;
-        }
-        self.stat_analytic_runs += 1;
-        self.release_entries = 0;
-        self.segdone_entries[g] = 0;
-        // Pop order within the wave is seq order; inert releases are
-        // separated out and handled against the finish point below.
-        let mut cur: Vec<(u64, u32)> = Vec::new();
-        let mut rels: Vec<(f64, u64, usize)> = Vec::new();
-        for &(t, seq, ev) in &raw {
-            match ev {
-                Ev::Release(r) => rels.push((t, seq, r)),
-                Ev::SegDone(gg, b) => {
-                    debug_assert_eq!(gg, g);
-                    cur.push((seq, b));
-                }
-                Ev::SegDoneN(gg, first, n) => {
-                    debug_assert_eq!(gg, g);
-                    for i in 0..n {
-                        cur.push((seq + u64::from(i), first + i));
-                    }
-                }
-            }
-        }
-        raw.clear();
-        self.wheel_raw = raw;
-        debug_assert!(!cur.is_empty());
-        let mut t = t0;
-        let mut last_seq = 0u64;
-        let mut next: Vec<(u64, u32)> = Vec::new();
-        loop {
-            self.now = t;
-            self.makespan = self.makespan.max(t);
-            for &(seq, b) in &cur {
-                last_seq = seq;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.on_block_end(g, b, t);
-                }
-                let sm = self.blk(g, b).sm;
-                self.vacate(sm, g, b);
-                self.blk_mut(g, b).state = BState::Done;
-                self.grt[g].blocks_left -= 1;
-                // Forced-local replacement dispatch (obligation 2): the
-                // slow path's try_admit restricted to window [g].
-                while self.grt[g].next_block < total {
-                    let Some(sm2) = self.pick_sm(g) else { break };
-                    let nb = self.grt[g].next_block as u32;
-                    self.grt[g].next_block += 1;
-                    self.occupy(sm2, g);
-                    let rt = self.blk_mut(g, nb);
-                    rt.state = BState::Running;
-                    rt.sm = sm2;
-                    rt.occupy_t = t;
-                    if let Some(p) = self.prof.as_deref_mut() {
-                        p.on_block_start(g, nb, sm2, t, false);
-                    }
-                    // Duration is bitwise `span` (obligation 1), so the
-                    // member joins the next wave; seq assigned exactly as
-                    // the slow path's push would have.
-                    self.seq += 1;
-                    next.push((self.seq, nb));
-                }
-            }
-            std::mem::swap(&mut cur, &mut next);
-            next.clear();
-            if cur.is_empty() {
-                break;
-            }
-            t += span;
-        }
-        // Inert releases that would have popped before the grid's final
-        // completion `(t, last_seq)` are serviced inline (released flag +
-        // profiler timestamp — both order-insensitive); later ones go back
-        // on the queue for the main loop, original seqs intact.
-        for &(rt_, rs, r) in &rels {
-            if lex_lt(rt_, rs, t, last_seq) {
-                self.grt[r].released = true;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.on_release(r, rt_);
-                }
-            } else {
-                self.release_entries += 1;
-                self.queue.push(rt_, rs, Ev::Release(r));
-            }
-        }
-        // Mirror the slow path's teardown tail at the completion time.
-        self.admit_queue.clear();
-        self.scanned_epoch = u64::MAX;
-        self.check_grid_done(g);
-        self.try_admit();
-        true
+        self.fast_forward(g);
     }
 
     /// Play the remaining events of the only runnable grid `g` on a sorted
@@ -2568,7 +2373,7 @@ mod tests {
         assert!(cal.pop().is_none());
     }
 
-    // -- timing domains and analytic mode --------------------------------
+    // -- timing domains ----------------------------------------------------
 
     /// Run a batch serially and with domain partitioning (no pool — the
     /// sequential domain path is bitwise the threaded one) and require
@@ -2704,125 +2509,5 @@ mod tests {
             vec![parent, other, child]
         });
         assert_eq!(stats.domains, 2, "parent+child must share a domain");
-    }
-
-    /// Run a batch with the analytic mode off and on (fast paths in the
-    /// given state, collector attached) and require bitwise-identical
-    /// timing and profiler output; returns the analytic-run count.
-    fn assert_analytic_exact(fast: bool, build: impl Fn() -> Vec<GridTask>) -> u64 {
-        let run = |analytic: bool| {
-            let mut d = DeviceConfig::tiny();
-            d.fast_forward = fast;
-            d.analytic = analytic;
-            let c = CostModel::default();
-            let grids = build();
-            let mut col = Collector::new(grids.len());
-            let (r, s) = simulate_full(&grids, &d, &c, Some(&mut col), None);
-            let mut p = Profile::default();
-            col.finish(&grids, &d, &mut p);
-            (r, s, p)
-        };
-        let (r_off, _, p_off) = run(false);
-        let (r_on, stats, p_on) = run(true);
-        assert_eq!(
-            r_on, r_off,
-            "timing diverges between analytic and event mode"
-        );
-        assert_eq!(
-            p_on, p_off,
-            "profile diverges between analytic and event mode"
-        );
-        stats.analytic_runs
-    }
-
-    /// Span-bound uniform batch: 48 single-warp blocks on tiny (8 resident
-    /// across 2 SMs) is 6 waves; work 40 at the 4-blocks-per-SM residency
-    /// ceiling needs 80 cycles < the 100-cycle span, so every duration is
-    /// bitwise the span and the analytic obligations hold.
-    fn span_bound_batch() -> Vec<GridTask> {
-        let bl: Vec<BlockOutcome> = (0..48).map(|_| block(1, vec![seg(100.0, 40.0)])).collect();
-        vec![grid(host(0), LaunchConfig::new(48, 32), bl, vec![])]
-    }
-
-    #[test]
-    fn analytic_matches_event_mode_on_uniform_waves() {
-        for fast in [false, true] {
-            let runs = assert_analytic_exact(fast, span_bound_batch);
-            assert!(runs > 0, "analytic mode never engaged (fast={fast})");
-        }
-    }
-
-    #[test]
-    fn analytic_falls_back_on_work_bound_grids() {
-        // work 400 at depth needs 800 cycles > the 100-cycle span:
-        // durations depend on residency, obligation 1 fails, and the event
-        // path must run — with identical results either way.
-        for fast in [false, true] {
-            let runs = assert_analytic_exact(fast, || {
-                let bl: Vec<BlockOutcome> =
-                    (0..48).map(|_| block(1, vec![seg(100.0, 400.0)])).collect();
-                vec![grid(host(0), LaunchConfig::new(48, 32), bl, vec![])]
-            });
-            assert_eq!(runs, 0, "work-bound grid must not run analytically");
-        }
-    }
-
-    #[test]
-    fn analytic_handles_queued_releases_and_streams() {
-        // Span-bound grid plus later same-stream and other-stream grids:
-        // inert releases sit in the queue across the analytic replay and
-        // stream handoff happens at the analytic finish time.
-        for fast in [false, true] {
-            let runs = assert_analytic_exact(fast, || {
-                let bl: Vec<BlockOutcome> =
-                    (0..48).map(|_| block(1, vec![seg(100.0, 40.0)])).collect();
-                vec![
-                    grid(host(0), LaunchConfig::new(48, 32), bl.clone(), vec![]),
-                    grid(host(1), LaunchConfig::new(48, 32), bl.clone(), vec![]),
-                    grid(
-                        Origin::Host { seq: 2, stream: 1 },
-                        LaunchConfig::new(48, 32),
-                        bl,
-                        vec![],
-                    ),
-                ]
-            });
-            assert!(runs > 0, "analytic mode never engaged (fast={fast})");
-        }
-    }
-
-    #[test]
-    fn analytic_composes_with_timing_domains() {
-        // Domain-partitioned pass with analytic mode on in every domain
-        // run: still bitwise the plain serial event pass.
-        let run = |tt: usize, analytic: bool| {
-            let mut d = DeviceConfig::tiny();
-            d.timing_threads = tt;
-            d.analytic = analytic;
-            let c = CostModel::default();
-            let grids: Vec<GridTask> = (0..3u32)
-                .map(|i| {
-                    let bl: Vec<BlockOutcome> =
-                        (0..16).map(|_| block(1, vec![seg(100.0, 40.0)])).collect();
-                    grid(
-                        Origin::Host { seq: i, stream: i },
-                        LaunchConfig::new(16, 32),
-                        bl,
-                        vec![],
-                    )
-                })
-                .collect();
-            let mut col = Collector::new(grids.len());
-            let (r, s) = simulate_full(&grids, &d, &c, Some(&mut col), None);
-            let mut p = Profile::default();
-            col.finish(&grids, &d, &mut p);
-            (r, s, p)
-        };
-        let (r_serial, _, p_serial) = run(1, false);
-        let (r_both, stats, p_both) = run(4, true);
-        assert_eq!(r_serial, r_both);
-        assert_eq!(p_serial, p_both);
-        assert!(stats.domains_committed > 0);
-        assert!(stats.analytic_runs > 0);
     }
 }

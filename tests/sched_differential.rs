@@ -1,8 +1,7 @@
 //! Differential tests for the timing-pass fast paths (DESIGN.md §11)
 //! and the parallel timing pass (DESIGN.md §13): cohort event batching,
-//! homogeneous-grid fast-forward, timing-domain parallelism, and the
-//! analytic closed form are pure host-side speedups, so every
-//! profiler-visible number — and the exported Chrome trace, byte for
+//! homogeneous-grid fast-forward and timing-domain parallelism are pure
+//! host-side speedups, so every profiler-visible number — and the exported Chrome trace, byte for
 //! byte — must be identical with each of them on and off, across every
 //! template, the sorts, the apps, multi-stream HyperQ batches, both memo
 //! modes, 1/2/8 timing-pass lanes, 1 and 8 host threads, and strict
@@ -281,9 +280,7 @@ fn timing_threads_are_invariant_on_irregular_apps() {
 
 /// A single-warp compute-only kernel: every warp trace is identical, so
 /// span == work bitwise per block, and a full-SM shared-memory
-/// reservation pins residency to one block per SM. That satisfies the
-/// analytic proof obligations (span-bound, local replacement, wave
-/// synchrony) on the tiny device.
+/// reservation pins residency to one block per SM.
 struct UniformCompute {
     cycles: u32,
 }
@@ -325,49 +322,21 @@ fn disjoint_stream_windows_commit_and_stay_invariant() {
     );
 }
 
-/// Analytic closed form vs full event replay: bit-identical reports and
-/// traces, and the analytic path must actually engage on the span-bound
-/// uniform waves (one resident single-warp block per SM).
+/// Timing domains on four lanes against the serial pass, at both
+/// fast-forward settings, on an irregular app with the profiler on: not a
+/// single byte of the report or the Chrome trace may move.
 #[test]
-fn analytic_mode_matches_event_replay_and_engages() {
-    let run = |gpu: &mut Gpu| launch_uniform(gpu, 6, 1, 16);
-    let mut event = Gpu::tiny().with_profiler(true);
-    let mut closed = Gpu::tiny().with_profiler(true).with_analytic(true);
-    assert!(!event.analytic_enabled() && closed.analytic_enabled());
-    let mut r_event = run(&mut event);
-    let mut r_closed = run(&mut closed);
-    assert_eq!(r_event.sim.analytic_grids, 0);
-    assert!(
-        r_closed.sim.analytic_grids > 0,
-        "analytic mode never engaged: {:?}",
-        r_closed.sim
-    );
-    r_event.sim = SimStats::default();
-    r_closed.sim = SimStats::default();
-    assert_eq!(r_event, r_closed, "analytic report differs from event mode");
-    assert_eq!(
-        event.take_profile().to_chrome_trace(),
-        closed.take_profile().to_chrome_trace(),
-        "analytic Chrome trace differs from event mode"
-    );
-}
-
-/// Analytic mode composed with timing domains and both fast-forward
-/// settings on real apps: it must silently fall back wherever the proof
-/// obligations fail, never perturbing a single byte.
-#[test]
-fn analytic_mode_is_invariant_on_irregular_apps() {
+fn timing_lanes_are_invariant_on_irregular_apps() {
     let input: Vec<u32> = (0..900u32)
         .map(|i| i.wrapping_mul(2_654_435_761) % 512)
         .collect();
     for ffwd in [true, false] {
-        let label = format!("quick-adv analytic ffwd={ffwd}");
-        let mk = |analytic: bool| {
+        let label = format!("quick-adv timing lanes ffwd={ffwd}");
+        let mk = |lanes: usize| {
             Gpu::k20()
                 .with_profiler(true)
                 .with_fast_forward(ffwd)
-                .with_analytic(analytic)
-                .with_timing_threads(if analytic { 4 } else { 1 })
+                .with_timing_threads(lanes)
         };
         let run = |gpu: &mut Gpu| {
             sort::sort_gpu(
@@ -378,16 +347,16 @@ fn analytic_mode_is_invariant_on_irregular_apps() {
             )
             .report
         };
-        let mut plain = mk(false);
-        let mut fancy = mk(true);
-        let mut r_plain = run(&mut plain);
-        let mut r_fancy = run(&mut fancy);
-        r_plain.sim = SimStats::default();
-        r_fancy.sim = SimStats::default();
-        assert_eq!(r_plain, r_fancy, "{label}: report differs");
+        let mut serial = mk(1);
+        let mut lanes = mk(4);
+        let mut r_serial = run(&mut serial);
+        let mut r_lanes = run(&mut lanes);
+        r_serial.sim = SimStats::default();
+        r_lanes.sim = SimStats::default();
+        assert_eq!(r_serial, r_lanes, "{label}: report differs");
         assert_eq!(
-            plain.take_profile().to_chrome_trace(),
-            fancy.take_profile().to_chrome_trace(),
+            serial.take_profile().to_chrome_trace(),
+            lanes.take_profile().to_chrome_trace(),
             "{label}: Chrome trace differs"
         );
     }
