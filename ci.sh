@@ -34,6 +34,10 @@ cargo test -q --workspace
 # with.)
 NPAR_THREADS=1 NPAR_TIMING_THREADS=8 cargo test -q --test sched_differential
 NPAR_THREADS=8 NPAR_TIMING_THREADS=8 cargo test -q --test sched_differential
+# perfbench is a package of its own outside the workspace, so the steps
+# above never compile it: build it and run its tests here, so that a public
+# API change that breaks the benchmark fails CI rather than a benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 cargo test -q --doc --workspace
 # Docs freshness: every flag runner::parse accepts must have a row in

@@ -634,8 +634,10 @@ mod tests {
         r.dataset.grid = 32;
         assert!(validate(&r).is_ok());
         type Set = fn(&mut DeviceConfig);
-        let unrunnable: [Set; 5] = [
+        let unrunnable: [Set; 7] = [
             |d| d.warp_size = 0,
+            |d| d.warp_size = 48,
+            |d| d.warp_size = 128,
             |d| d.shared_banks = 0,
             |d| d.num_sms = 0,
             |d| d.mem_transaction_bytes = 96,
@@ -646,6 +648,12 @@ mod tests {
             set(&mut r.device);
             assert!(validate(&r).is_err(), "{:?}", r.device);
         }
+        // Warps wider than the simulator's 64 lanes: every block of the
+        // request would fit an SM, but none could be aligned.
+        let mut r = Request::new("divergent");
+        r.device.warp_size = 128;
+        let err = validate(&r).unwrap_err();
+        assert!(err.contains("warp_size 128"), "{err}");
         // Blocks no SM of the device can hold: the host block (registers),
         // or a device-side child block (warps) of a launch-storm kernel.
         let mut r = Request::new("divergent");

@@ -373,11 +373,13 @@ fn full_queue_sheds_and_zero_timeout_times_out() {
     // A device the simulator would divide by zero on is refused too, and
     // the shard it would have reached keeps answering.
     let mut bad = tiny_request("regular-wave", 0);
-    bad.device.warp_size = 0;
-    assert!(matches!(
-        service.submit(&bad),
-        Err(SubmitError::Invalid(e)) if e.contains("warp_size")
-    ));
+    for warp_size in [0, 128] {
+        bad.device.warp_size = warp_size;
+        assert!(matches!(
+            service.submit(&bad),
+            Err(SubmitError::Invalid(e)) if e.contains("warp_size")
+        ));
+    }
     let resp = service
         .submit(&tiny_request("regular-wave", 0))
         .unwrap()

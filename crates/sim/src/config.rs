@@ -184,13 +184,23 @@ impl DeviceConfig {
         }
     }
 
-    /// Check a launch configuration against this device: nonzero grid and
-    /// block within the per-launch limits, and a block one SM can hold
+    /// Check a launch configuration against this device: a warp size the
+    /// aligner holds (a power of two up to 64), nonzero grid and block
+    /// within the per-launch limits, and a block one SM can hold
     /// (threads, warps, registers and shared memory). [`crate::Gpu::launch`]
     /// refuses any other configuration with
     /// [`crate::SimError::InvalidLaunch`]; a device-side launch records it as
     /// an [`crate::HazardKind::InvalidChildLaunch`] diagnostic.
     pub fn validate_launch(&self, cfg: &LaunchConfig) -> Result<(), SimError> {
+        // The aligner tracks a warp's lanes in 64-wide buffers and scales
+        // by the reciprocal of the width, exact only for powers of two.
+        if !self.warp_size.is_power_of_two() || self.warp_size as usize > crate::warp::MAX_WARP {
+            return Err(SimError::InvalidLaunch(format!(
+                "warp_size {} is not a power of two in 1..={}",
+                self.warp_size,
+                crate::warp::MAX_WARP
+            )));
+        }
         if cfg.grid_dim == 0 || cfg.block_dim == 0 {
             return Err(SimError::InvalidLaunch(
                 "grid and block dimensions must be >= 1".into(),
@@ -217,10 +227,7 @@ impl DeviceConfig {
         // A block within every per-block limit can still exceed one SM's
         // capacity; the scheduler would then never place it and the report
         // would show launch overhead alone.
-        if self.warp_size == 0
-            || crate::occupancy::block_residency_limit(self, cfg.block_dim, cfg.shared_mem_bytes)
-                == 0
-        {
+        if crate::occupancy::block_residency_limit(self, cfg.block_dim, cfg.shared_mem_bytes) == 0 {
             return Err(SimError::InvalidLaunch(format!(
                 "no SM can hold a block of {} thread(s) and {} byte(s) of shared memory \
                  (per SM: {} threads, {} blocks, {} warps of {}, {} registers at {} per \

@@ -32,6 +32,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -140,7 +141,7 @@ struct Site {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct GroupKey {
     scope: (u32, u32, u32),
-    name: String,
+    name: Arc<str>,
     block_dim: u32,
     smem: u32,
 }
@@ -450,7 +451,7 @@ fn auto_gran(
     metrics: &BTreeMap<String, KernelMetrics>,
     has_wait: bool,
 ) -> Option<Gran> {
-    let m = metrics.get(&grids[p].name)?;
+    let m = metrics.get(&*grids[p].name)?;
     // No measured launch pressure on this kernel: nothing to win.
     if m.stalls.launch <= 0.0 {
         return None;
@@ -496,6 +497,7 @@ mod tests {
     fn grid(origin: Origin, cfg: LaunchConfig, blocks: Vec<BlockOutcome>) -> GridTask {
         GridTask {
             name: "child".into(),
+            class: 0,
             cfg,
             origin,
             depth: u32::from(matches!(origin, Origin::Device { .. })),

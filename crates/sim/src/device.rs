@@ -141,7 +141,9 @@ impl Gpu {
             self.engine.memo = None;
             // Adaptive per-kernel policy is meaningless without a cache and
             // must not leak stale decisions into a later re-enable.
-            self.engine.memo_classes.clear();
+            for class in &mut self.engine.classes {
+                class.memo = Default::default();
+            }
         }
     }
 
@@ -403,6 +405,7 @@ impl Gpu {
     /// launched since the previous synchronize and return its [`Report`].
     pub fn synchronize(&mut self) -> Report {
         let t0 = std::time::Instant::now();
+        let kernels = self.engine.take_metrics();
         // Workload consolidation (DESIGN.md §15): rewrite the recorded
         // launch stream before timing. Functional execution, hazard
         // checks, and per-kernel metrics are already final, so this only
@@ -411,7 +414,7 @@ impl Gpu {
             let cs = crate::consolidate::consolidate(
                 &mut self.engine.grids,
                 &self.engine.device,
-                &self.engine.metrics,
+                &kernels,
             );
             self.engine.stats.consolidated_groups += cs.groups;
             self.engine.stats.consolidated_grids += cs.merged;
@@ -449,7 +452,6 @@ impl Gpu {
             .filter(|g| matches!(g.origin, Origin::Host { .. }))
             .count() as u64;
         let device_launches = self.engine.grids.len() as u64 - host_launches;
-        let kernels = std::mem::take(&mut self.engine.metrics);
         self.engine.grids.clear();
         self.engine.host_seq = 0;
         let hazards = self.engine.check.batch_count();

@@ -48,8 +48,11 @@ pub(crate) enum Origin {
 /// runs before its launching warp proceeds). Once executed, `kernel` is
 /// dropped and `blocks` is populated.
 pub(crate) struct GridTask {
-    /// Kernel name (diagnostics key on it; metrics do already).
-    pub name: String,
+    /// Kernel name (diagnostics and consolidation key on it), shared with
+    /// the grid's [`KernelClass`].
+    pub name: Arc<str>,
+    /// Index of the grid's kernel class in [`Engine::classes`].
+    pub class: u32,
     pub cfg: LaunchConfig,
     pub origin: Origin,
     /// Nesting depth: 0 for host launches, parent's depth + 1 for device
@@ -61,12 +64,29 @@ pub(crate) struct GridTask {
     pub kernel: Option<KernelRef>,
 }
 
+/// One kernel class: every grid of one kernel name. Interned at the
+/// class's first registration, so per-grid bookkeeping updates the class
+/// in place through [`GridTask::class`] instead of looking its name up.
+pub(crate) struct KernelClass {
+    pub name: Arc<str>,
+    /// Adaptive memoization policy: the class's rolling block-cache hit
+    /// rate decides whether its blocks roll fingerprints (and so probe the
+    /// cache). Survives synchronize, like the cache.
+    pub memo: ClassStats,
+    /// The class's metrics for the current batch; drained into
+    /// [`crate::Report::kernels`] at synchronize.
+    pub metrics: KernelMetrics,
+}
+
 /// Engine state for one batch (between synchronizations).
 pub(crate) struct Engine {
     pub device: DeviceConfig,
     pub cost: CostModel,
     pub grids: Vec<GridTask>,
-    pub metrics: BTreeMap<String, KernelMetrics>,
+    /// Interned kernel classes, in order of first registration.
+    pub classes: Vec<KernelClass>,
+    /// Class index by kernel name.
+    pub class_ids: BTreeMap<String, u32>,
     pub host_seq: u32,
     pub scratch: AlignScratch,
     /// Recycled per-thread trace buffers (capacity survives across blocks,
@@ -108,12 +128,6 @@ pub(crate) struct Engine {
     /// top); see [`crate::parallel::flush_chunks`]. Always empty on the
     /// serial path.
     pub chunks: Vec<crate::parallel::ChunkState>,
-    /// Adaptive memoization policy, keyed by kernel name: each kernel's
-    /// rolling block-cache hit rate decides whether fingerprinting (and
-    /// hence cache probing) stays on for its future grids. Decisions move
-    /// only at grid boundaries so both execution paths see identical
-    /// policy for every block.
-    pub memo_classes: BTreeMap<String, ClassStats>,
     /// npar-analyze state: per-kernel-class probe facts, launch shapes and
     /// proof-carrying elision signatures (see [`crate::analyze`]).
     pub analyzer: crate::analyze::Analyzer,
@@ -127,7 +141,8 @@ impl Engine {
             device,
             cost,
             grids: Vec::new(),
-            metrics: BTreeMap::new(),
+            classes: Vec::new(),
+            class_ids: BTreeMap::new(),
             host_seq: 0,
             scratch: AlignScratch::default(),
             trace_pool: Vec::new(),
@@ -143,7 +158,6 @@ impl Engine {
             timing_pool: None,
             bufs: BufPool::default(),
             chunks: Vec::new(),
-            memo_classes: BTreeMap::new(),
             analyzer: crate::analyze::Analyzer::default(),
         }
     }
@@ -166,6 +180,31 @@ impl Engine {
     /// verdicts).
     pub(crate) fn probe_active(&self) -> bool {
         self.analysis_active() && self.check.level != crate::check::CheckLevel::Off
+    }
+
+    /// The class index of kernel `name`, interning it on first sight.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.class_ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.classes.len()).expect("kernel class overflow");
+        self.classes.push(KernelClass {
+            name: name.into(),
+            memo: ClassStats::default(),
+            metrics: KernelMetrics::default(),
+        });
+        self.class_ids.insert(name.to_string(), id);
+        id
+    }
+
+    /// Drain the batch's per-kernel metrics, keyed by name: every class
+    /// with a grid registered since the last drain.
+    pub(crate) fn take_metrics(&mut self) -> BTreeMap<String, KernelMetrics> {
+        self.classes
+            .iter_mut()
+            .filter(|c| c.metrics.grids > 0)
+            .map(|c| (c.name.to_string(), std::mem::take(&mut c.metrics)))
+            .collect()
     }
 
     /// Validate a launch configuration against the device limits.
@@ -206,14 +245,17 @@ pub(crate) fn register_grid(
     cfg: LaunchConfig,
     origin: Origin,
 ) -> usize {
-    let name = kernel.name().to_string();
+    let class = engine.intern(kernel.name());
     let id = engine.grids.len();
     let depth = match origin {
         Origin::Host { .. } => 0,
         Origin::Device { parent, .. } => engine.grids[parent].depth + 1,
     };
+    let kc = &mut engine.classes[class as usize];
+    kc.metrics.grids += 1;
     engine.grids.push(GridTask {
-        name: name.clone(),
+        name: Arc::clone(&kc.name),
+        class,
         cfg,
         origin,
         depth,
@@ -234,7 +276,6 @@ pub(crate) fn register_grid(
             analyzer.on_launch(&p.name, &p.cfg, &cfg);
         }
     }
-    engine.metrics.entry(name).or_default().grids += 1;
     if matches!(origin, Origin::Host { .. }) {
         run_grid(engine, id);
     }
@@ -248,16 +289,13 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
     let Some(kernel) = engine.grids[id].kernel.take() else {
         return; // already executed
     };
-    let cfg = engine.grids[id].cfg;
-    let name = kernel.name().to_string();
-    // Adaptive memoization: the authoritative class entry moves only at
-    // the grid boundary (below), but this block-local copy is probed in
-    // trace order so a cold class demotes mid-grid and the remaining
-    // blocks trace without rolling fingerprints (see `ClassStats::probe`).
+    let task = &engine.grids[id];
+    let (cfg, class, name) = (task.cfg, task.class as usize, Arc::clone(&task.name));
+    // Adaptive memoization: the class's policy is probed in place, in
+    // trace order, so a cold class demotes mid-grid and the remaining
+    // blocks trace without rolling fingerprints (see `ClassStats::probe`);
+    // nested grids of the same class joined mid-grid share the same state.
     let memo_enabled = engine.memo.is_some();
-    let mut class = engine.memo_classes.get(&name).copied().unwrap_or_default();
-    let mut window_attempts = 0u32;
-    let mut window_hits = 0u32;
     // npar-analyze per-grid state: probe/candidate collection and the
     // promoted elision signature snapshot (DESIGN.md §12). `probe_on`
     // forces fingerprinting for every block so elision decisions and
@@ -285,7 +323,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
     // the floating-point sums land bit-identically in both modes.
     let mut grid_metrics = KernelMetrics::default();
     for b in 0..cfg.grid_dim {
-        let memo_fp = memo_enabled && class.fp_on(b);
+        let memo_fp = memo_enabled && engine.classes[class].memo.fp_on(b);
         let fp_on = memo_fp || probe_on;
         let traces = std::mem::take(&mut engine.trace_pool);
         let barriers = std::mem::take(&mut engine.barrier_pool);
@@ -396,9 +434,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
         );
         if probed {
             let hit = engine.stats.block_hits > h0;
-            class.probe(hit);
-            window_attempts += 1;
-            window_hits += u32::from(hit);
+            engine.classes[class].memo.probe(hit);
         }
         engine.trace_pool = traces;
         engine.barrier_pool = barriers;
@@ -410,13 +446,11 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
         // global race detected this grid vetoes the candidate.
         engine.analyzer.finish_grid(&name, &cfg, g, &engine.check);
     }
+    let kc = &mut engine.classes[class];
     if memo_enabled {
-        let entry = engine.memo_classes.entry(name.clone()).or_default();
-        entry.window_attempts += window_attempts;
-        entry.window_hits += window_hits;
-        entry.eval();
+        kc.memo.eval();
     }
-    engine.metrics.entry(name).or_default().merge(&grid_metrics);
+    kc.metrics.merge(&grid_metrics);
 }
 
 /// Drive a host-launched grid and its whole descendant tree to functional
@@ -483,7 +517,7 @@ mod tests {
         assert_eq!(id, 0);
         assert_eq!(e.grids[0].blocks.len(), 3);
         assert!(e.grids[0].kernel.is_none(), "host grid runs immediately");
-        let m = &e.metrics["noop"];
+        let m = &e.take_metrics()["noop"];
         assert_eq!(m.grids, 1);
         assert_eq!(m.blocks, 3);
         assert_eq!(m.threads, 192);
@@ -540,6 +574,20 @@ mod tests {
         for (device, cfg) in devices.into_iter().zip(big) {
             let err = device.validate_launch(&cfg).unwrap_err();
             assert!(err.to_string().contains("no SM can hold"), "{err}");
+        }
+        // Warps the aligner cannot hold: wider than 64 lanes, or not a
+        // power of two. A K20 with 128-lane warps would otherwise place a
+        // 128-thread block and overrun the aligner's lane buffers.
+        for warp_size in [0, 48, 128] {
+            let device = DeviceConfig {
+                warp_size,
+                ..DeviceConfig::kepler_k20()
+            };
+            let err = Engine::new(device, CostModel::default())
+                .validate(&LaunchConfig::new(1, 128))
+                .unwrap_err();
+            assert!(matches!(err, SimError::InvalidLaunch(_)), "{err}");
+            assert!(err.to_string().contains("warp_size"), "{err}");
         }
         // Every launch valid on the presets still is.
         for device in [DeviceConfig::kepler_k20(), DeviceConfig::tiny()] {

@@ -34,6 +34,14 @@
 //! were sanitized by the hazard checker (divergent barriers) bypass the
 //! cache too — their fingerprints describe the pre-sanitization traces.
 //!
+//! **Adaptive bypass.** Fingerprinting costs every op of a block, and a
+//! kernel whose blocks never repeat pays it for nothing. [`ClassStats`]
+//! keeps a block-hit window per kernel class; a cold class is demoted and
+//! then fingerprints only the first blocks of a probing grid, opened once
+//! per stride of its own blocks counted across grids ([`PROBE_STRIDE`]),
+//! so the tiny nested grids of the recursive templates do not each buy a
+//! probe. A warm window re-enables the class.
+//!
 //! **Interaction with the timing-pass fast paths (DESIGN.md §11).** Blocks
 //! replayed from one block-cache entry are clones of the same
 //! [`BlockOutcome`], so a grid whose blocks all hit the same entry is
@@ -282,17 +290,28 @@ impl Hasher for IdentityHasher {
 #[allow(clippy::disallowed_types)] // fixed hasher: deterministic, u64 keys
 pub(crate) type FastMap<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
 
-/// While a kernel class is bypassed, the first `PROBE_BLOCKS` blocks of each
-/// grid still roll fingerprints and probe the cache, so a class whose blocks
-/// become cacheable again can re-enable itself.
-pub(crate) const PROBE_BLOCKS: u32 = 4;
-
 /// Minimum probed blocks in the rolling window before the hit rate is
 /// (re-)evaluated at a grid boundary.
 pub(crate) const EVAL_MIN: u32 = 4;
 
-/// Rolling memoization hit-rate for one kernel fingerprint-class (keyed by
-/// kernel name), driving the adaptive memo bypass.
+/// While a kernel class is bypassed, some of its grids still probe: their
+/// first [`EVAL_MIN`] blocks, one evaluation window, roll fingerprints and
+/// probe the cache, so a class whose blocks become cacheable again can
+/// re-enable itself. A grid probes only when at least a stride of the
+/// class's blocks, counted across its grids, have run since the last
+/// probing grid opened. The stride starts at `PROBE_STRIDE`, doubles with
+/// each probing grid up to `PROBE_STRIDE_MAX`, and resets whenever an
+/// evaluated window saw a hit: a class that warms up re-enables within a
+/// grid or two, while one whose blocks never repeat probes ever more
+/// rarely.
+pub(crate) const PROBE_STRIDE: u32 = 16;
+/// The widest stride between a bypassed class's probing grids.
+pub(crate) const PROBE_STRIDE_MAX: u32 = 1024;
+
+/// Rolling memoization hit-rate for one kernel class (one kernel name,
+/// interned once per [`crate::Gpu`] in [`crate::engine::KernelClass`]),
+/// driving the adaptive memo bypass. Every grid of the class updates this
+/// one state in place, nested grids joined mid-grid included.
 ///
 /// Fully divergent workloads pay the fingerprint-rolling cost on every op
 /// and never hit (BENCH_sim regression: 0.95x vs memo-off). Each class
@@ -300,18 +319,28 @@ pub(crate) const EVAL_MIN: u32 = 4;
 /// first grid (block 0 inserts, the structurally identical blocks after it
 /// replay, thanks to canonical addressing), so one grid of window is enough
 /// to tell the two apart. A class whose window shows a block hit rate below
-/// 50% is demoted to *bypassed*: only the probe blocks of each grid keep
-/// fingerprinting, leaving a path back if the workload turns cacheable.
+/// 50% is demoted to *bypassed*: only the first blocks of its probing
+/// grids keep fingerprinting, leaving a path back if the workload turns
+/// cacheable. Probing grids are spaced by a stride of the class's own
+/// blocks, counted across grids (see [`PROBE_STRIDE`]), because recursive
+/// templates launch thousands of grids of one or two blocks: a probe quota
+/// per grid fingerprints every one of them. Grids of at least a stride
+/// still probe each time while the class's probes keep hitting, which is
+/// how a class that is cold within its first grid but repeats across grids
+/// (npar-serve's `regular-wave`) re-enables within a grid.
 ///
+/// The window holds the probed blocks: those that rolled fingerprints, were
+/// not sanitized by the checker and launched no child (launch-bearing
+/// blocks never enter the block cache, so they say nothing about it).
 /// Promotion back to enabled happens at grid boundaries only
 /// ([`ClassStats::eval`]). Demotion additionally fires mid-grid in
 /// trace-order executors ([`ClassStats::probe`]) — a hostile first grid
 /// stops paying the fingerprint cost after `EVAL_MIN` cold probes instead
 /// of fingerprinting every block to its boundary. The concurrently traced
-/// path fingerprints all blocks before any probe resolves, so it keeps the
-/// grid-start policy; the policy is a host-side heuristic that never
-/// reaches the report (see `tests/memo_differential.rs`), so the paths may
-/// legally diverge here.
+/// path decides every block's fingerprinting before any probe resolves, so
+/// it keeps the grid-start policy; the policy is a host-side heuristic that
+/// never reaches the report (see `tests/memo_differential.rs`), so the
+/// paths may legally diverge here.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ClassStats {
     /// Whether every block of this class currently rolls fingerprints.
@@ -323,6 +352,13 @@ pub(crate) struct ClassStats {
     /// count hits differently from the serial cache, and the policy must be
     /// a pure function of state both paths share.
     pub window_hits: u32,
+    /// Blocks of this class since its last probing grid opened: the
+    /// probe stride's clock.
+    since_probe: u32,
+    /// Blocks between probing grids while bypassed.
+    stride: u32,
+    /// Whether the class's current grid is a probing grid.
+    probing: bool,
 }
 
 impl Default for ClassStats {
@@ -331,26 +367,38 @@ impl Default for ClassStats {
             enabled: true,
             window_attempts: 0,
             window_hits: 0,
+            since_probe: 0,
+            stride: PROBE_STRIDE,
+            probing: false,
         }
     }
 }
 
 impl ClassStats {
-    /// Whether block `block_idx` of a grid rolls fingerprints and probes
-    /// the cache. Depends only on (class state at grid start, block id) —
-    /// deterministic at any thread count.
+    /// Whether block `block_idx` of the class's current grid rolls
+    /// fingerprints and probes the cache: every block while enabled, and
+    /// while bypassed the first [`EVAL_MIN`] blocks of a probing grid.
+    /// A grid opens as a probing grid once the class's stride of blocks
+    /// has run since the last one (see [`PROBE_STRIDE`]). Called once per
+    /// block in block order, so the answer depends only on the class's
+    /// history — deterministic at any thread count.
     #[inline]
-    pub fn fp_on(&self, block_idx: u32) -> bool {
-        self.enabled || block_idx < PROBE_BLOCKS
+    pub fn fp_on(&mut self, block_idx: u32) -> bool {
+        if block_idx == 0 {
+            self.probing = !self.enabled && self.since_probe >= self.stride;
+            if self.probing {
+                self.since_probe = 0;
+                self.stride = (self.stride * 2).min(PROBE_STRIDE_MAX);
+            }
+        }
+        self.since_probe = self.since_probe.saturating_add(1);
+        self.enabled || (self.probing && block_idx < EVAL_MIN)
     }
 
     /// Record one probed block in trace order, demoting as soon as the
     /// window proves cold (< 50% hits over at least [`EVAL_MIN`] probes) so
-    /// the blocks after it stop rolling fingerprints. Called by the
-    /// trace-order executors on a block-local copy of the class; the
-    /// authoritative entry is updated at the grid boundary via
-    /// [`ClassStats::eval`], which reaches the same verdict from the full
-    /// window.
+    /// the blocks after it stop rolling fingerprints. The grid boundary's
+    /// [`ClassStats::eval`] reaches the same verdict from the full window.
     #[inline]
     pub fn probe(&mut self, hit: bool) {
         self.window_attempts += 1;
@@ -364,6 +412,9 @@ impl ClassStats {
     pub fn eval(&mut self) {
         if self.window_attempts >= EVAL_MIN {
             self.enabled = self.window_hits * 2 >= self.window_attempts;
+            if self.window_hits > 0 {
+                self.stride = PROBE_STRIDE;
+            }
             self.window_attempts = 0;
             self.window_hits = 0;
         }
@@ -603,7 +654,7 @@ mod tests {
         let mut c = ClassStats::default();
         // Starts enabled: every block fingerprints, so a regular workload's
         // intra-grid block hits keep it on from the very first grid.
-        assert!(c.enabled && c.fp_on(1_000_000));
+        assert!(c.enabled && (0..1000).all(|b| c.fp_on(b)));
         // A hot window (>= 50% block hits) keeps full fingerprinting on.
         for hit in [false, true, true, true] {
             c.probe(hit);
@@ -617,19 +668,37 @@ mod tests {
             c.probe(false);
         }
         assert!(!c.enabled);
-        assert!(c.fp_on(0) && c.fp_on(PROBE_BLOCKS - 1));
-        assert!(!c.fp_on(PROBE_BLOCKS));
+        assert!(!c.fp_on(EVAL_MIN));
         // The boundary eval reaches the same verdict from the full window.
         c.eval();
         assert!(!c.enabled);
+        // Bypassed, the next grid probes its first blocks...
+        let probes: Vec<bool> = (0..PROBE_STRIDE).map(|b| c.fp_on(b)).collect();
+        assert_eq!(probes.iter().filter(|&&p| p).count(), EVAL_MIN as usize);
+        assert!(probes[0] && !probes[EVAL_MIN as usize]);
+        // ...and while no probe hits, probing grids grow further apart, up
+        // to one per PROBE_STRIDE_MAX of the class's blocks.
+        let mut gaps = Vec::new();
+        let mut last = 0;
+        for i in 1..=8 * PROBE_STRIDE_MAX {
+            if c.fp_on(0) {
+                gaps.push(i - last);
+                last = i;
+            }
+        }
+        assert!(gaps
+            .windows(2)
+            .all(|w| w[0] < w[1] || w[1] == PROBE_STRIDE_MAX));
+        assert_eq!(gaps.last(), Some(&PROBE_STRIDE_MAX));
         // A recovered probe window (>= 50%) re-enables it — but only at the
-        // grid boundary, since bypassed blocks never fingerprinted.
+        // grid boundary, since bypassed blocks never fingerprinted — and
+        // restarts the stride.
         for hit in [true, true, true, false] {
             c.probe(hit);
         }
         assert!(!c.enabled);
         c.eval();
-        assert!(c.enabled);
+        assert!(c.enabled && c.stride == PROBE_STRIDE);
         // Tiny windows (below EVAL_MIN) defer the decision.
         let mut d = ClassStats::default();
         for _ in 0..EVAL_MIN - 1 {

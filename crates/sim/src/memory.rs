@@ -19,25 +19,57 @@ pub(crate) struct Coalesce {
     pub transactions: u64,
 }
 
-/// Analyze one warp-wide global access. `accesses` holds `(addr, size)` for
-/// each active lane. Scratch is caller-provided to avoid per-step allocation.
-pub(crate) fn coalesce(
-    accesses: &[(u64, u8)],
-    line_bytes: u32,
-    scratch: &mut Vec<u64>,
-) -> Coalesce {
+/// Analyze one warp-wide global access. `accesses` yields `(addr, size)`
+/// for each active lane. Lines are counted as they arrive while they stay
+/// non-decreasing (the common case: lanes in order over ascending
+/// addresses); the first line below its predecessor falls back to
+/// collecting every line into the caller-provided `scratch` and sorting.
+pub(crate) fn coalesce<I>(accesses: I, line_bytes: u32, scratch: &mut Vec<u64>) -> Coalesce
+where
+    I: IntoIterator<Item = (u64, u8)>,
+    I::IntoIter: Clone,
+{
     debug_assert!(line_bytes.is_power_of_two());
     let shift = line_bytes.trailing_zeros();
+    // A single lane access can straddle a line boundary.
+    let lines = move |(addr, size): (u64, u8)| {
+        (addr >> shift, (addr + u64::from(size).max(1) - 1) >> shift)
+    };
+    let accesses = accesses.into_iter();
+    let mut requested = 0u64;
+    let mut transactions = 0u64;
+    // The highest line counted so far.
+    let mut top: Option<u64> = None;
+    for access in accesses.clone() {
+        let (first, last) = lines(access);
+        match top {
+            Some(t) if first < t => return coalesce_sorted(accesses, lines, scratch),
+            Some(t) if first == t => transactions += last - first,
+            _ => transactions += last - first + 1,
+        }
+        requested += u64::from(access.1);
+        top = Some(last);
+    }
+    Coalesce {
+        requested_bytes: requested,
+        transactions,
+    }
+}
+
+/// [`coalesce`] for accesses whose lines arrive out of order: collect,
+/// sort and dedup.
+#[cold]
+fn coalesce_sorted(
+    accesses: impl Iterator<Item = (u64, u8)>,
+    lines: impl Fn((u64, u8)) -> (u64, u64),
+    scratch: &mut Vec<u64>,
+) -> Coalesce {
     scratch.clear();
     let mut requested = 0u64;
-    for &(addr, size) in accesses {
-        requested += u64::from(size);
-        let first = addr >> shift;
-        // A single lane access can straddle a line boundary.
-        let last = (addr + u64::from(size).max(1) - 1) >> shift;
-        for line in first..=last {
-            scratch.push(line);
-        }
+    for access in accesses {
+        requested += u64::from(access.1);
+        let (first, last) = lines(access);
+        scratch.extend(first..=last);
     }
     scratch.sort_unstable();
     scratch.dedup();
@@ -96,7 +128,7 @@ mod tests {
 
     fn co(accesses: &[(u64, u8)]) -> Coalesce {
         let mut scratch = Vec::new();
-        coalesce(accesses, 128, &mut scratch)
+        coalesce(accesses.iter().copied(), 128, &mut scratch)
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use std::collections::VecDeque;
 use std::hash::BuildHasherDefault;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::block::{align_block, BlockOutcome, WarpMemoView};
 use crate::check::{self, CheckState, GridAccess};
@@ -60,8 +60,8 @@ use crate::ctx::{BlockCtx, ParTrace, TraceHost};
 use crate::engine::{register_grid, Engine, Origin};
 use crate::kernel::{KernelRef, LaunchConfig};
 use crate::memo::{
-    block_key, BlockEntry, BlockFps, FastMap, IdentityHasher, MemoCache, WarpEntry, BLOCK_CAP,
-    WARP_CAP,
+    block_key, BlockEntry, BlockFps, ClassStats, FastMap, IdentityHasher, MemoCache, WarpEntry,
+    BLOCK_CAP, WARP_CAP,
 };
 use crate::profiler::KernelMetrics;
 use crate::trace::{Barriers, Op};
@@ -227,8 +227,6 @@ pub(crate) struct ChunkState {
     deferred: Vec<ParBlock>,
     grid_metrics: KernelMetrics,
     gaccess: GridAccess,
-    window_attempts: u32,
-    window_hits: u32,
 }
 
 /// Frozen-snapshot warp-cache view for one block's alignment on a worker:
@@ -426,15 +424,12 @@ fn align_one(
 /// its hazard states (trace first, then scan — the serial interleave),
 /// splice its access intervals, replay or insert cache entries, and merge
 /// its metrics delta. This is the only place global state changes.
-#[allow(clippy::too_many_arguments)]
 fn merge_block(
     engine: &mut Engine,
     grid: usize,
     mut db: ParBlock,
     gm: &mut KernelMetrics,
     gaccess: &mut GridAccess,
-    window_attempts: &mut u32,
-    window_hits: &mut u32,
 ) {
     if let Some(tc) = db.trace_check.take() {
         engine.check.absorb(tc);
@@ -446,10 +441,8 @@ fn merge_block(
         gaccess.absorb(ga);
     }
     engine.stats.ops_traced += db.ops;
-    let mut replayed = false;
     match db.decision {
         Decision::Replay { key } => {
-            replayed = true;
             let cache = engine.memo.as_ref().expect("replay implies memoization");
             let e = cache
                 .blocks
@@ -494,18 +487,6 @@ fn merge_block(
             gm.merge(&a.delta);
             engine.grids[grid].blocks.push(a.out);
         }
-    }
-    let probed = replayed
-        || matches!(
-            db.decision,
-            Decision::Align {
-                probe_miss: true,
-                ..
-            }
-        );
-    if probed {
-        *window_attempts += 1;
-        *window_hits += u32::from(replayed);
     }
     engine.bufs.put(
         0,
@@ -554,15 +535,7 @@ fn flush_top(engine: &mut Engine) {
         }
         let grid = cs.grid;
         for db in blocks {
-            merge_block(
-                engine,
-                grid,
-                db,
-                &mut cs.grid_metrics,
-                &mut cs.gaccess,
-                &mut cs.window_attempts,
-                &mut cs.window_hits,
-            );
+            merge_block(engine, grid, db, &mut cs.grid_metrics, &mut cs.gaccess);
         }
         cs.pending.clear();
     }
@@ -612,29 +585,23 @@ fn execute_blocks_par(engine: &mut Engine, id: usize) {
     let Some(kernel) = engine.grids[id].kernel.take() else {
         return;
     };
-    let name = kernel.name().to_string();
     if kernel.parallel_trace() {
-        execute_par_traced(engine, id, kernel, cfg, name);
+        execute_par_traced(engine, id, kernel, cfg);
     } else {
-        execute_serial_traced(engine, id, kernel, cfg, name);
+        execute_serial_traced(engine, id, kernel, cfg);
     }
 }
 
 /// Chunked executor for kernels without the `parallel_trace` opt-in: trace,
 /// scan and decide serially on the main thread (the exact serial order of
 /// every side effect), defer alignment, flush in chunks.
-fn execute_serial_traced(
-    engine: &mut Engine,
-    id: usize,
-    kernel: KernelRef,
-    cfg: LaunchConfig,
-    name: String,
-) {
+fn execute_serial_traced(engine: &mut Engine, id: usize, kernel: KernelRef, cfg: LaunchConfig) {
     let memo_enabled = engine.memo.is_some();
-    // Block-local policy copy, probed in trace order exactly like the
-    // serial engine's: a cold class demotes mid-grid, so the chunked path
-    // fingerprints the same block set the serial path would.
-    let mut class = engine.memo_classes.get(&name).copied().unwrap_or_default();
+    // The class policy is probed in place, in trace order, exactly like
+    // the serial engine's: a cold class demotes mid-grid, so the chunked
+    // path fingerprints the same block set the serial path would.
+    let name = Arc::clone(&engine.grids[id].name);
+    let class = engine.grids[id].class as usize;
     // npar-analyze per-grid state (DESIGN.md §12). Tracing, elision
     // decisions, scans and probe observation all stay on the main thread
     // in block order here, so the analyzer sees the exact serial call
@@ -657,12 +624,10 @@ fn execute_serial_traced(
         deferred: Vec::new(),
         grid_metrics: KernelMetrics::default(),
         gaccess: GridAccess::default(),
-        window_attempts: 0,
-        window_hits: 0,
     });
     let chunk_cap = engine.threads * CHUNK_PER_LANE;
     for b in 0..cfg.grid_dim {
-        let memo_fp = memo_enabled && class.fp_on(b);
+        let memo_fp = memo_enabled && engine.classes[class].memo.fp_on(b);
         // Fingerprints are forced whenever npar-analyze probes, even if
         // the memo policy demoted the class — elision signatures must not
         // depend on cache policy (or thread count).
@@ -736,16 +701,7 @@ fn execute_serial_traced(
             memo_fp,
             sanitized,
         );
-        // A replay decision is exactly a serial block-cache hit and a
-        // probe miss exactly a serial miss, so probing here keeps the
-        // mid-grid demotion sequence identical to the serial engine's.
-        match decision {
-            Decision::Replay { .. } => class.probe(true),
-            Decision::Align {
-                probe_miss: true, ..
-            } => class.probe(false),
-            Decision::Align { .. } => {}
-        }
+        probe_class(&mut engine.classes[class].memo, decision);
         let mut db = ParBlock::new(traces, barriers, fps, memo_fp);
         db.elided = elided;
         db.sanitized = sanitized;
@@ -764,36 +720,54 @@ fn execute_serial_traced(
         // engine: a global race this grid vetoes the candidate.
         engine.analyzer.finish_grid(&name, &cfg, g, &engine.check);
     }
-    if memo_enabled {
-        let entry = engine.memo_classes.entry(name.clone()).or_default();
-        entry.window_attempts += cs.window_attempts;
-        entry.window_hits += cs.window_hits;
-        entry.eval();
+    finish_class(engine, class, memo_enabled, &cs.grid_metrics);
+}
+
+/// Feed one block's cache-probe decision to its class's policy, in trace
+/// order. A replay decision is exactly a serial block-cache hit and a
+/// probe miss exactly a serial miss, so the window and any mid-grid
+/// demotion match the serial engine's.
+fn probe_class(class: &mut ClassStats, decision: Decision) {
+    match decision {
+        Decision::Replay { .. } => class.probe(true),
+        Decision::Align {
+            probe_miss: true, ..
+        } => class.probe(false),
+        Decision::Align { .. } => {}
     }
-    engine
-        .metrics
-        .entry(name)
-        .or_default()
-        .merge(&cs.grid_metrics);
+}
+
+/// Close a grid's class bookkeeping: re-evaluate the memo policy at the
+/// grid boundary and merge the grid's metrics.
+fn finish_class(
+    engine: &mut Engine,
+    class: usize,
+    memo_enabled: bool,
+    grid_metrics: &KernelMetrics,
+) {
+    let kc = &mut engine.classes[class];
+    if memo_enabled {
+        kc.memo.eval();
+    }
+    kc.metrics.merge(grid_metrics);
 }
 
 /// Fully concurrent executor for [`crate::Kernel::parallel_trace`] kernels:
 /// trace all blocks in one scope, register + patch launches canonically,
 /// scan in a second scope, decide serially, align in a third scope, merge.
-fn execute_par_traced(
-    engine: &mut Engine,
-    id: usize,
-    kernel: KernelRef,
-    cfg: LaunchConfig,
-    name: String,
-) {
+fn execute_par_traced(engine: &mut Engine, id: usize, kernel: KernelRef, cfg: LaunchConfig) {
     let memo_enabled = engine.memo.is_some();
-    // Grid-start policy snapshot. Unlike the trace-order executors this
-    // path cannot demote mid-grid — every block fingerprints before any
-    // probe resolves — but the boundary eval still demotes a cold class
-    // for the grids after this one. Policy is report-invariant, so the
-    // divergence from the serial sequence is host-side only.
-    let class = engine.memo_classes.get(&name).copied().unwrap_or_default();
+    let name = Arc::clone(&engine.grids[id].name);
+    let class = engine.grids[id].class as usize;
+    // Every block's policy decision is taken up front, in block order.
+    // Unlike the trace-order executors this path cannot demote mid-grid —
+    // every block fingerprints before any probe resolves — but the probes
+    // below still demote a cold class for the grids after this one.
+    // Policy is report-invariant, so the divergence from the serial
+    // sequence is host-side only.
+    let memo_fps: Vec<bool> = (0..cfg.grid_dim)
+        .map(|b| memo_enabled && engine.classes[class].memo.fp_on(b))
+        .collect();
     let level = engine.check.level;
     // npar-analyze per-grid state (DESIGN.md §12). The promoted elision
     // signature is snapshotted here and cannot change mid-grid, so the
@@ -821,11 +795,12 @@ fn execute_par_traced(
         let pool = pool.as_ref().expect("pool ensured by run_grid_par");
         let kernel = &kernel;
         let name = &name;
+        let memo_fps = &memo_fps;
         let trace_one = move |scope: &npar_par::Scope<'_, AlignScratch>,
                               _w: &mut AlignScratch,
                               i: usize,
                               slot: &mut Option<ParBlock>| {
-            let memo_fp = memo_enabled && class.fp_on(i as u32);
+            let memo_fp = memo_fps[i];
             // Forced whenever npar-analyze probes (see the serial path).
             let fp_on = memo_fp || probe_on;
             let bb = bufs.take(scope.lane());
@@ -981,6 +956,7 @@ fn execute_par_traced(
             pb.fp_on,
             pb.sanitized,
         );
+        probe_class(&mut engine.classes[class].memo, pb.decision);
     }
 
     // Phase 5: align concurrently against the frozen cache.
@@ -1006,18 +982,9 @@ fn execute_par_traced(
     // Phase 6: canonical merge.
     let mut grid_metrics = KernelMetrics::default();
     let mut gaccess = GridAccess::default();
-    let (mut window_attempts, mut window_hits) = (0u32, 0u32);
     for slot in slots.iter_mut() {
         let pb = slot.take().expect("traced");
-        merge_block(
-            engine,
-            id,
-            pb,
-            &mut grid_metrics,
-            &mut gaccess,
-            &mut window_attempts,
-            &mut window_hits,
-        );
+        merge_block(engine, id, pb, &mut grid_metrics, &mut gaccess);
     }
     check::finish_grid(&mut engine.check, &name, id, gaccess);
     if let Some(g) = ga.take() {
@@ -1026,11 +993,5 @@ fn execute_par_traced(
         // after the cross-block sweep, exactly like the serial engine.
         engine.analyzer.finish_grid(&name, &cfg, g, &engine.check);
     }
-    if memo_enabled {
-        let entry = engine.memo_classes.entry(name.clone()).or_default();
-        entry.window_attempts += window_attempts;
-        entry.window_hits += window_hits;
-        entry.eval();
-    }
-    engine.metrics.entry(name).or_default().merge(&grid_metrics);
+    finish_class(engine, class, memo_enabled, &grid_metrics);
 }

@@ -412,7 +412,7 @@ impl Collector {
                 Origin::Device { parent, block, .. } => Some((base + parent as u32, block)),
             };
             out.kernels.push(KernelSpan {
-                name: task.name.clone(),
+                name: task.name.to_string(),
                 grid: base + g as u32,
                 parent,
                 release: self.release[g] + offset,

@@ -1547,6 +1547,7 @@ mod tests {
     ) -> GridTask {
         GridTask {
             name: "k".into(),
+            class: 0,
             cfg,
             origin,
             depth: 0,
@@ -1817,6 +1818,7 @@ mod tests {
         fn clone_for_test(&self) -> GridTask {
             GridTask {
                 name: self.name.clone(),
+                class: self.class,
                 cfg: self.cfg,
                 origin: self.origin,
                 depth: self.depth,

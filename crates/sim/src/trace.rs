@@ -49,8 +49,10 @@ impl Op {
     /// Dispatch group for lockstep alignment: divergent ops of different
     /// kinds at the same trace position serialize into separate issue
     /// groups, which is how SIMT hardware handles intra-warp divergence.
-    /// The hazard checker classifies accesses through the same dispatch
-    /// groups, so both consumers agree on what "kind" an op is.
+    /// The aligner's gather pass inlines this mapping; the method serves
+    /// the reference aligner and the coverage test. Barriers have no group:
+    /// they are segment boundaries, stripped before alignment.
+    #[cfg(test)]
     pub(crate) fn group(self) -> OpGroup {
         match self {
             Op::Compute(_) => OpGroup::Compute,
@@ -61,7 +63,7 @@ impl Op {
             Op::AtomicGlobal { .. } => OpGroup::AtomicGlobal,
             Op::AtomicShared { .. } => OpGroup::AtomicShared,
             Op::Launch { .. } => OpGroup::Launch,
-            Op::Sync | Op::SyncChildren => OpGroup::Delimiter,
+            Op::Sync | Op::SyncChildren => unreachable!("barriers are never aligned"),
         }
     }
 }
@@ -191,11 +193,9 @@ pub(crate) enum OpGroup {
     AtomicGlobal = 5,
     AtomicShared = 6,
     Launch = 7,
-    /// Barrier ops; never aligned (stripped into segment boundaries first).
-    Delimiter = 8,
 }
 
-/// All alignment groups except `Delimiter`, in issue order.
+/// All alignment groups, in issue order.
 pub(crate) const ISSUE_GROUPS: [OpGroup; 8] = [
     OpGroup::Compute,
     OpGroup::GlobalRead,

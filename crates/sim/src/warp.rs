@@ -9,12 +9,24 @@
 //! divergent warps slow. Lanes that have finished their (shorter) traces
 //! simply stop presenting, which is exactly how an irregular inner loop
 //! degrades warp execution efficiency in the paper's baseline template.
+//!
+//! A warp is one instruction stream: lanes advance in lockstep, so at step
+//! `s` every unfinished lane sits at trace position `s`. The aligner relies
+//! on that. It keeps the unfinished lanes compacted in ascending lane order
+//! and makes one pass over them per step, gathering each op into its issue
+//! group's buffer and dropping the lanes whose traces end there; no lane
+//! carries a position of its own. Groups then issue from their buffers in
+//! the fixed [`ISSUE_GROUPS`] order, each seeing its lanes in ascending
+//! order, so every counter and cycle sum is added in one fixed order.
 
 use crate::config::DeviceConfig;
 use crate::cost::CostModel;
 use crate::memory;
 use crate::profiler::{KernelMetrics, StallCycles};
 use crate::trace::{Op, OpGroup, ISSUE_GROUPS};
+
+#[cfg(test)]
+mod legacy;
 
 /// A device-side launch observed during alignment: which grid, and how many
 /// cycles into the segment the launching instruction completed.
@@ -34,13 +46,50 @@ pub(crate) struct WarpOutcome {
     pub launches: Vec<LaunchPoint>,
 }
 
+/// Widest warp the aligner holds: lanes are tracked as `u8` indices in
+/// fixed 64-entry buffers. [`DeviceConfig::validate_launch`] refuses any
+/// other warp size than a power of two up to this.
+pub(crate) const MAX_WARP: usize = 64;
+
+/// One step's ops split by issue group, each in ascending lane order.
+#[derive(Debug)]
+struct StepOps {
+    reads: [(u64, u8); MAX_WARP],
+    writes: [(u64, u8); MAX_WARP],
+    shared_reads: [u32; MAX_WARP],
+    shared_writes: [u32; MAX_WARP],
+    atomics: [u64; MAX_WARP],
+    shared_atomics: [u64; MAX_WARP],
+    launches: [u32; MAX_WARP],
+}
+
+impl Default for StepOps {
+    fn default() -> Self {
+        StepOps {
+            reads: [(0, 0); MAX_WARP],
+            writes: [(0, 0); MAX_WARP],
+            shared_reads: [0; MAX_WARP],
+            shared_writes: [0; MAX_WARP],
+            atomics: [0; MAX_WARP],
+            shared_atomics: [0; MAX_WARP],
+            launches: [0; MAX_WARP],
+        }
+    }
+}
+
 /// Reusable scratch buffers for alignment (allocation-free steady state).
+///
+/// Lanes advance in lockstep, so at step `s` every unfinished lane sits at
+/// trace position `s`: the aligner keeps no per-lane position, only the
+/// unfinished lanes, compacted in ascending lane order. One pass per step
+/// reads each live lane's op into the per-group buffers of [`StepOps`] and
+/// drops the lanes that just finished. The groups then issue from those
+/// buffers in [`ISSUE_GROUPS`] order, so every group sees its lanes in
+/// ascending order and every `f64` is added in the same order as a per-group
+/// rescan of all lanes would add it.
 #[derive(Debug, Default)]
 pub(crate) struct AlignScratch {
-    positions: Vec<usize>,
-    gaddrs: Vec<(u64, u8)>,
-    aaddrs: Vec<u64>,
-    saddrs: Vec<u32>,
+    step: Box<StepOps>,
     lines: Vec<u64>,
     banks: Vec<u32>,
 }
@@ -60,14 +109,20 @@ pub(crate) fn align_warp(
     // the fp-divide unit (it runs once per issue group, the hot path).
     let inv_warp = 1.0 / warp;
     let n = lanes.len();
-    debug_assert!(n >= 1 && n <= device.warp_size as usize);
+    debug_assert!(n >= 1 && n <= device.warp_size as usize && n <= MAX_WARP);
 
     if cost.divergence == crate::cost::DivergenceModel::MaxLane {
         return max_lane_model(lanes, cost, metrics);
     }
 
-    scratch.positions.clear();
-    scratch.positions.resize(n, 0);
+    // Unfinished lanes, ascending. A lane leaves once the step reaches
+    // its length, so every lane listed here has an op at `step`.
+    let mut live = [0u8; MAX_WARP];
+    let mut nlive = 0;
+    for (i, lane) in lanes.iter().enumerate() {
+        live[nlive] = i as u8;
+        nlive += usize::from(!lane.is_empty());
+    }
 
     let mut out = WarpOutcome::default();
     let mut issue_slots = 0.0f64;
@@ -80,40 +135,72 @@ pub(crate) fn align_warp(
     // once at the end — the same single-add discipline as the counters
     // above, which keeps memoized replays bit-identical.
     let mut stalls = StallCycles::default();
+    let AlignScratch {
+        step: ops,
+        lines,
+        banks,
+    } = scratch;
 
-    loop {
-        // One pass over the unfinished lanes collects which issue groups
-        // the step contains as a bitmask — no per-lane `Option<Op>`
-        // snapshot; the group branches below re-read the ops directly.
-        let mut mask = 0u16;
-        for (pos, lane) in scratch.positions.iter().zip(lanes) {
-            if let Some(&op) = lane.get(*pos) {
-                debug_assert!(
-                    !op.is_delimiter(),
-                    "delimiters must be stripped before alignment"
-                );
-                mask |= 1 << op.group() as u8;
+    let mut step = 0usize;
+    while nlive > 0 {
+        // The one pass over the live lanes: gather this step's ops by group
+        // and compact away the lanes whose trace ends here.
+        let (mut max_n, mut sum_n) = (0u32, 0u64);
+        let [mut nr, mut nw, mut nsr, mut nsw, mut na, mut nsa, mut nl] = [0usize; 7];
+        let mut kept = 0;
+        for i in 0..nlive {
+            let l = live[i];
+            let lane = lanes[usize::from(l)];
+            match lane[step] {
+                Op::Compute(k) => {
+                    max_n = max_n.max(k);
+                    sum_n += u64::from(k);
+                }
+                Op::GlobalRead { addr, size } => {
+                    ops.reads[nr] = (addr, size);
+                    nr += 1;
+                }
+                Op::GlobalWrite { addr, size } => {
+                    ops.writes[nw] = (addr, size);
+                    nw += 1;
+                }
+                Op::SharedRead { addr } => {
+                    ops.shared_reads[nsr] = addr;
+                    nsr += 1;
+                }
+                Op::SharedWrite { addr } => {
+                    ops.shared_writes[nsw] = addr;
+                    nsw += 1;
+                }
+                Op::AtomicGlobal { addr } => {
+                    ops.atomics[na] = addr;
+                    na += 1;
+                }
+                Op::AtomicShared { addr } => {
+                    ops.shared_atomics[nsa] = u64::from(addr);
+                    nsa += 1;
+                }
+                Op::Launch { grid } => {
+                    ops.launches[nl] = grid;
+                    nl += 1;
+                }
+                op @ (Op::Sync | Op::SyncChildren) => {
+                    debug_assert!(
+                        !op.is_delimiter(),
+                        "delimiters must be stripped before alignment"
+                    );
+                }
             }
+            live[kept] = l;
+            kept += usize::from(lane.len() > step + 1);
         }
-        if mask == 0 {
-            break;
-        }
+        nlive = kept;
+        step += 1;
 
         // Issue each populated group in deterministic order.
         for group in ISSUE_GROUPS {
-            if mask & (1 << group as u8) == 0 {
-                continue;
-            }
             match group {
                 OpGroup::Compute => {
-                    let mut max_n = 0u32;
-                    let mut sum_n = 0u64;
-                    for (pos, lane) in scratch.positions.iter().zip(lanes) {
-                        if let Some(Op::Compute(k)) = lane.get(*pos) {
-                            max_n = max_n.max(*k);
-                            sum_n += u64::from(*k);
-                        }
-                    }
                     if max_n > 0 {
                         let dur = f64::from(max_n) * cost.alu_cycles;
                         out.cycles += dur;
@@ -123,145 +210,106 @@ pub(crate) fn align_warp(
                     }
                 }
                 OpGroup::GlobalRead | OpGroup::GlobalWrite => {
-                    // Membership comes from the shared Op::group dispatch
-                    // (the hazard checker classifies accesses the same way).
-                    scratch.gaddrs.clear();
-                    for (pos, lane) in scratch.positions.iter().zip(lanes) {
-                        let Some(op) = lane.get(*pos) else {
-                            continue;
-                        };
-                        if op.group() != group {
-                            continue;
-                        }
-                        if let Op::GlobalRead { addr, size } | Op::GlobalWrite { addr, size } = op {
-                            scratch.gaddrs.push((*addr, *size));
-                        }
+                    let accesses = if group == OpGroup::GlobalRead {
+                        &ops.reads[..nr]
+                    } else {
+                        &ops.writes[..nw]
+                    };
+                    if accesses.is_empty() {
+                        continue;
                     }
-                    if !scratch.gaddrs.is_empty() {
-                        let c = memory::coalesce(
-                            &scratch.gaddrs,
-                            device.mem_transaction_bytes,
-                            &mut scratch.lines,
-                        );
-                        let dur = cost.mem_base_cycles
-                            + c.transactions as f64 * cost.mem_transaction_cycles;
-                        out.cycles += dur;
-                        issue_slots += warp;
-                        active_slots += scratch.gaddrs.len() as f64;
-                        stalls.gmem += dur * scratch.gaddrs.len() as f64;
-                        if group == OpGroup::GlobalRead {
-                            metrics.gld_requested_bytes += c.requested_bytes;
-                            metrics.gld_transactions += c.transactions;
-                        } else {
-                            metrics.gst_requested_bytes += c.requested_bytes;
-                            metrics.gst_transactions += c.transactions;
-                        }
+                    let c = memory::coalesce(
+                        accesses.iter().copied(),
+                        device.mem_transaction_bytes,
+                        lines,
+                    );
+                    let active = accesses.len() as f64;
+                    let dur =
+                        cost.mem_base_cycles + c.transactions as f64 * cost.mem_transaction_cycles;
+                    out.cycles += dur;
+                    issue_slots += warp;
+                    active_slots += active;
+                    stalls.gmem += dur * active;
+                    if group == OpGroup::GlobalRead {
+                        metrics.gld_requested_bytes += c.requested_bytes;
+                        metrics.gld_transactions += c.transactions;
+                    } else {
+                        metrics.gst_requested_bytes += c.requested_bytes;
+                        metrics.gst_transactions += c.transactions;
                     }
                 }
                 OpGroup::SharedRead | OpGroup::SharedWrite => {
-                    scratch.saddrs.clear();
-                    for (pos, lane) in scratch.positions.iter().zip(lanes) {
-                        let Some(op) = lane.get(*pos) else {
-                            continue;
-                        };
-                        if op.group() != group {
-                            continue;
-                        }
-                        if let Op::SharedRead { addr } | Op::SharedWrite { addr } = op {
-                            scratch.saddrs.push(*addr);
-                        }
+                    let addrs = if group == OpGroup::SharedRead {
+                        &ops.shared_reads[..nsr]
+                    } else {
+                        &ops.shared_writes[..nsw]
+                    };
+                    if addrs.is_empty() {
+                        continue;
                     }
-                    if !scratch.saddrs.is_empty() {
-                        let replays = memory::bank_replays(
-                            &scratch.saddrs,
-                            device.shared_banks,
-                            &mut scratch.banks,
-                        );
-                        let dur = cost.shared_cycles * replays as f64;
-                        out.cycles += dur;
-                        issue_slots += warp;
-                        active_slots += scratch.saddrs.len() as f64;
-                        metrics.shared_accesses += scratch.saddrs.len() as u64;
-                        metrics.shared_replays += replays;
-                        stalls.shared += dur * scratch.saddrs.len() as f64;
-                    }
+                    let replays = memory::bank_replays(addrs, device.shared_banks, banks);
+                    let active = addrs.len() as f64;
+                    let dur = cost.shared_cycles * replays as f64;
+                    out.cycles += dur;
+                    issue_slots += warp;
+                    active_slots += active;
+                    metrics.shared_accesses += addrs.len() as u64;
+                    metrics.shared_replays += replays;
+                    stalls.shared += dur * active;
                 }
                 OpGroup::AtomicGlobal => {
-                    scratch.aaddrs.clear();
-                    for (pos, lane) in scratch.positions.iter().zip(lanes) {
-                        if let Some(Op::AtomicGlobal { addr }) = lane.get(*pos) {
-                            scratch.aaddrs.push(*addr);
-                        }
+                    if na == 0 {
+                        continue;
                     }
-                    if !scratch.aaddrs.is_empty() {
-                        let count = scratch.aaddrs.len();
-                        // Transactions for the distinct addresses touched.
-                        scratch.gaddrs.clear();
-                        scratch
-                            .gaddrs
-                            .extend(scratch.aaddrs.iter().map(|&a| (a, 4u8)));
-                        let c = memory::coalesce(
-                            &scratch.gaddrs,
-                            device.mem_transaction_bytes,
-                            &mut scratch.lines,
-                        );
-                        let conflicts = memory::max_multiplicity(&mut scratch.aaddrs);
-                        let dur = cost.atomic_base_cycles
-                            + (conflicts.saturating_sub(1)) as f64 * cost.atomic_conflict_cycles
-                            + c.transactions as f64 * cost.mem_transaction_cycles;
-                        out.cycles += dur;
-                        issue_slots += warp;
-                        active_slots += count as f64;
-                        metrics.atomics_global += count as u64;
-                        stalls.atomic += dur * count as f64;
-                    }
+                    // Sorting for the conflict count first hands the
+                    // coalescer its lines in order.
+                    let addrs = &mut ops.atomics[..na];
+                    let conflicts = memory::max_multiplicity(addrs);
+                    // Transactions for the distinct addresses touched.
+                    let c = memory::coalesce(
+                        addrs.iter().map(|&a| (a, 4u8)),
+                        device.mem_transaction_bytes,
+                        lines,
+                    );
+                    let dur = cost.atomic_base_cycles
+                        + (conflicts.saturating_sub(1)) as f64 * cost.atomic_conflict_cycles
+                        + c.transactions as f64 * cost.mem_transaction_cycles;
+                    out.cycles += dur;
+                    issue_slots += warp;
+                    active_slots += na as f64;
+                    metrics.atomics_global += na as u64;
+                    stalls.atomic += dur * na as f64;
                 }
                 OpGroup::AtomicShared => {
-                    scratch.aaddrs.clear();
-                    for (pos, lane) in scratch.positions.iter().zip(lanes) {
-                        if let Some(Op::AtomicShared { addr }) = lane.get(*pos) {
-                            scratch.aaddrs.push(u64::from(*addr));
-                        }
+                    if nsa == 0 {
+                        continue;
                     }
-                    if !scratch.aaddrs.is_empty() {
-                        let count = scratch.aaddrs.len();
-                        let conflicts = memory::max_multiplicity(&mut scratch.aaddrs);
-                        let dur = cost.shared_cycles
-                            + (conflicts.saturating_sub(1)) as f64
-                                * cost.atomic_shared_conflict_cycles;
-                        out.cycles += dur;
-                        issue_slots += warp;
-                        active_slots += count as f64;
-                        metrics.atomics_shared += count as u64;
-                        stalls.atomic += dur * count as f64;
-                    }
+                    let conflicts = memory::max_multiplicity(&mut ops.shared_atomics[..nsa]);
+                    let dur = cost.shared_cycles
+                        + (conflicts.saturating_sub(1)) as f64 * cost.atomic_shared_conflict_cycles;
+                    out.cycles += dur;
+                    issue_slots += warp;
+                    active_slots += nsa as f64;
+                    metrics.atomics_shared += nsa as u64;
+                    stalls.atomic += dur * nsa as f64;
                 }
                 OpGroup::Launch => {
                     // Device-side launches serialize lane by lane. The
                     // whole serialized duration is launch overhead — the
                     // very cost the paper's dpar templates trade against —
                     // so none of it is charged to divergence.
-                    for (pos, lane) in scratch.positions.iter().zip(lanes) {
-                        if let Some(Op::Launch { grid }) = lane.get(*pos) {
-                            out.cycles += cost.device_launch_issue_cycles;
-                            issue_slots += warp;
-                            active_slots += 1.0;
-                            metrics.device_launches += 1;
-                            stalls.launch += cost.device_launch_issue_cycles;
-                            out.launches.push(LaunchPoint {
-                                grid: *grid,
-                                offset: out.cycles,
-                            });
-                        }
+                    for &grid in &ops.launches[..nl] {
+                        out.cycles += cost.device_launch_issue_cycles;
+                        issue_slots += warp;
+                        active_slots += 1.0;
+                        metrics.device_launches += 1;
+                        stalls.launch += cost.device_launch_issue_cycles;
+                        out.launches.push(LaunchPoint {
+                            grid,
+                            offset: out.cycles,
+                        });
                     }
                 }
-                OpGroup::Delimiter => unreachable!(),
-            }
-        }
-
-        for (pos, lane) in scratch.positions.iter_mut().zip(lanes) {
-            if *pos < lane.len() {
-                *pos += 1;
             }
         }
     }
@@ -371,6 +419,8 @@ fn max_lane_model(lanes: &[&[Op]], cost: &CostModel, metrics: &mut KernelMetrics
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn run(lanes: &[Vec<Op>]) -> (WarpOutcome, KernelMetrics) {
         let device = DeviceConfig::kepler_k20();
@@ -597,6 +647,140 @@ mod tests {
             "maxlane buckets must sum to the slowest lane"
         );
         assert!(metrics.stalls.gmem > 0.0);
+    }
+
+    /// A random op for one lane: every kind, global accesses that straddle
+    /// lines or repeat an address, a few shared and atomic addresses so
+    /// banks and atomics conflict, and launches with fresh grid ids.
+    fn random_op(rng: &mut ChaCha8Rng, lane: u64, next_grid: &mut u32) -> Op {
+        let global = |rng: &mut ChaCha8Rng| match rng.gen_range(0u32..4) {
+            // Lanes in order over consecutive words: the coalescer's
+            // in-order path.
+            0 => lane * 4,
+            // A line boundary straddled by a wide access.
+            1 => 128 * rng.gen_range(0u64..4) + 124,
+            // One of a few shared addresses.
+            2 => [0, 64, 256, 4096][rng.gen_range(0usize..4)],
+            _ => rng.gen_range(0u64..8192),
+        };
+        match rng.gen_range(0u32..9) {
+            0 | 1 => Op::Compute(rng.gen_range(0u32..5)),
+            2 => Op::GlobalRead {
+                addr: global(rng),
+                size: [0u8, 1, 4, 8, 12, 16][rng.gen_range(0usize..6)],
+            },
+            3 => Op::GlobalWrite {
+                addr: global(rng),
+                size: [1u8, 4, 8][rng.gen_range(0usize..3)],
+            },
+            4 => Op::SharedRead {
+                addr: rng.gen_range(0u32..64) * 4,
+            },
+            5 => Op::SharedWrite {
+                addr: rng.gen_range(0u32..8) * 128,
+            },
+            6 => Op::AtomicGlobal {
+                addr: [0u64, 8, 128, 4096][rng.gen_range(0usize..4)] + lane % 2 * 4,
+            },
+            7 => Op::AtomicShared {
+                addr: rng.gen_range(0u32..4) * 4,
+            },
+            _ => {
+                *next_grid += 1;
+                Op::Launch { grid: *next_grid }
+            }
+        }
+    }
+
+    fn metric_bits(m: &KernelMetrics) -> Vec<u64> {
+        let s = &m.stalls;
+        vec![
+            m.grids,
+            m.blocks,
+            m.threads,
+            m.issue_slots.to_bits(),
+            m.active_slots.to_bits(),
+            m.gld_requested_bytes,
+            m.gld_transactions,
+            m.gst_requested_bytes,
+            m.gst_transactions,
+            m.shared_accesses,
+            m.shared_replays,
+            m.atomics_global,
+            m.atomics_shared,
+            m.device_launches,
+            m.barriers,
+            m.work_cycles.to_bits(),
+            s.compute.to_bits(),
+            s.divergence.to_bits(),
+            s.gmem.to_bits(),
+            s.shared.to_bits(),
+            s.atomic.to_bits(),
+            s.launch.to_bits(),
+            s.barrier.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn one_pass_aligner_matches_the_previous_aligner() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1a9e);
+        let cost = CostModel::default();
+        let mut scratch = AlignScratch::default();
+        let mut old_scratch = legacy::AlignScratch::default();
+        let mut next_grid = 0u32;
+        for case in 0..400 {
+            let mut device = DeviceConfig::kepler_k20();
+            device.warp_size = [64, 32, 8, 1][case % 4];
+            let n = rng.gen_range(1..=device.warp_size as usize);
+            let lanes: Vec<Vec<Op>> = (0..n as u64)
+                .map(|lane| {
+                    let len = rng.gen_range(0usize..40);
+                    (0..len)
+                        .map(|_| random_op(&mut rng, lane, &mut next_grid))
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[Op]> = lanes.iter().map(|v| v.as_slice()).collect();
+            let mut m_new = KernelMetrics::default();
+            let mut m_old = KernelMetrics::default();
+            let new = align_warp(&refs, &device, &cost, &mut m_new, &mut scratch);
+            let old = legacy::align_warp(&refs, &device, &cost, &mut m_old, &mut old_scratch);
+            assert_eq!(new.cycles.to_bits(), old.cycles.to_bits(), "case {case}");
+            let points = |o: &WarpOutcome| -> Vec<(u32, u64)> {
+                o.launches
+                    .iter()
+                    .map(|l| (l.grid, l.offset.to_bits()))
+                    .collect()
+            };
+            assert_eq!(points(&new), points(&old), "case {case}");
+            assert_eq!(metric_bits(&m_new), metric_bits(&m_old), "case {case}");
+        }
+    }
+
+    #[test]
+    fn in_order_coalescing_matches_sort_and_dedup() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xc0a1);
+        let (mut lines, mut old_lines) = (Vec::new(), Vec::new());
+        for case in 0..2000 {
+            let n = rng.gen_range(0usize..=64);
+            let sorted = rng.gen_bool(0.5);
+            let mut addr = rng.gen_range(0u64..1024);
+            let accesses: Vec<(u64, u8)> = (0..n)
+                .map(|_| {
+                    if sorted {
+                        addr += rng.gen_range(0u64..200);
+                    } else {
+                        addr = rng.gen_range(0u64..4096);
+                    }
+                    (addr, [0u8, 1, 4, 8, 12, 200][rng.gen_range(0usize..6)])
+                })
+                .collect();
+            for line_bytes in [32, 128] {
+                let new = memory::coalesce(accesses.iter().copied(), line_bytes, &mut lines);
+                let old = legacy::coalesce(&accesses, line_bytes, &mut old_lines);
+                assert_eq!(new, old, "case {case}, {line_bytes}-byte lines");
+            }
+        }
     }
 
     #[test]

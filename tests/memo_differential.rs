@@ -170,3 +170,84 @@ fn toggling_memo_drops_the_cache() {
     let r = launch_saxpy(&mut gpu, 1);
     assert!(r.sim.block_misses > 0);
 }
+
+/// The memo's bypass constants (`memo::EVAL_MIN`, `memo::PROBE_STRIDE`):
+/// a class demotes after `EVAL_MIN` cold probes, and a demoted class then
+/// opens a probing grid at most once per `PROBE_STRIDE` of its own blocks,
+/// counted across grids (further apart while its probes keep missing).
+const EVAL_MIN: u64 = 4;
+const PROBE_STRIDE: u64 = 16;
+
+/// Every block distinct: thread `i` of launch `salt` computes `salt + i`
+/// steps, so no block or warp fingerprint repeats.
+struct Unique {
+    salt: u32,
+}
+
+impl ThreadKernel for Unique {
+    fn name(&self) -> &str {
+        "unique"
+    }
+    fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
+        t.compute(self.salt + t.global_id() as u32 + 1);
+    }
+}
+
+#[test]
+fn bypassed_class_probes_one_block_per_stride_across_grids() {
+    let grids = 256;
+    let mut gpu = Gpu::k20();
+    for salt in 0..grids {
+        let k = Arc::new(Unique { salt: salt * 64 });
+        gpu.launch(k, LaunchConfig::new(1, 32)).unwrap();
+    }
+    let r = gpu.synchronize();
+    assert_eq!(r.sim.block_hits, 0, "{:?}", r.sim);
+    let probed = r.sim.block_hits + r.sim.block_misses;
+    let bound = EVAL_MIN + u64::from(grids).div_ceil(PROBE_STRIDE);
+    assert!(
+        probed <= bound,
+        "{probed} of {grids} one-block grids probed the cache, bound {bound}: {:?}",
+        r.sim
+    );
+}
+
+#[test]
+fn nested_same_class_grids_share_one_probe_stride() {
+    // rec-naive launches a one-block child grid per internal node, every
+    // grid of the same class, joined from inside its parent's block. The
+    // leaf-parent grids launch nothing and none of them repeats, so the
+    // class demotes and its stride must count blocks across those grids.
+    let tree = TreeGen {
+        depth: 5,
+        outdegree: 6,
+        sparsity: 0,
+        seed: 5,
+    }
+    .generate();
+    let mut gpu = Gpu::k20();
+    let r = tree_apps::tree_gpu(
+        &mut gpu,
+        &tree,
+        tree_apps::TreeMetric::Descendants,
+        RecTemplate::RecNaive,
+        &RecParams::default(),
+    )
+    .report;
+    assert!(
+        r.kernels.values().any(|m| m.grids > 200),
+        "the tree must launch many nested grids: {:?}",
+        r.kernels
+    );
+    let probed = r.sim.block_hits + r.sim.block_misses;
+    let bound: u64 = r
+        .kernels
+        .values()
+        .map(|m| EVAL_MIN + m.blocks.div_ceil(PROBE_STRIDE))
+        .sum();
+    assert!(
+        probed <= bound,
+        "{probed} blocks probed the cache, bound {bound}: {:?}",
+        r.sim
+    );
+}
