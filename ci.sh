@@ -17,9 +17,16 @@ cargo fmt --check
 # the bench member, which the root package does not depend on.
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
+# Run every example, not only build it: each checks its own results (a
+# panic, or serve_demo's byte-identity assert, fails here). They write
+# only under the temp dir.
+for ex in examples/*.rs; do
+    cargo run --release --quiet --example "$(basename "$ex" .rs)"
+done
 # Once pinned to the serial executor, once at the machine's default thread
-# count (the parallel executor when >1 core) — reports must be bit-identical
-# either way (tests/parallel_differential.rs), so both runs must pass. The
+# count (the chunked executor, which fans warp alignment out, when >1
+# core) — reports must be bit-identical either way
+# (tests/parallel_differential.rs), so both runs must pass. The
 # scheduler-equivalence suite (tests/sched_differential.rs) rides in both
 # passes, pinning fast-forward on/off byte-equality at each thread count.
 # --workspace runs every member crate's suite too (serde_json, sim, serve,

@@ -14,9 +14,8 @@
 //! Two tables come out: memoization on vs off (single-threaded, so the
 //! cache is measured in isolation), and a host thread-scaling sweep over
 //! 1/2/4/8 worker threads (memo on, DESIGN.md §10) with a per-core scaling
-//! efficiency column. All three kernels opt into `parallel_trace` — they
-//! are order-independent and never join children mid-block — so the sweep
-//! exercises the fully concurrent executor.
+//! efficiency column. Above one thread the sweep runs the chunked
+//! executor: blocks trace on the main thread and their alignment fans out.
 //!
 //! A third axis measures the event-driven timing pass itself
 //! (DESIGN.md §11): each workload runs with `--fast-forward` on vs off and
@@ -69,9 +68,6 @@ impl ThreadKernel for Regular {
     fn name(&self) -> &str {
         "bench-regular"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
         let lane = t.thread_idx() as usize % 32;
@@ -100,9 +96,6 @@ impl ThreadKernel for Divergent {
     fn name(&self) -> &str {
         "bench-divergent"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id() + self.salt;
         let trips = (i * 2_654_435_761) % 31;
@@ -121,9 +114,6 @@ struct DpChild {
 impl ThreadKernel for DpChild {
     fn name(&self) -> &str {
         "bench-dp-child"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
@@ -144,11 +134,6 @@ struct DpParent {
 impl ThreadKernel for DpParent {
     fn name(&self) -> &str {
         "bench-dp-parent"
-    }
-    fn parallel_trace(&self) -> bool {
-        // Fire-and-forget launches only (joined at grid completion), so
-        // concurrent tracing is legal.
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         if t.is_leader() {
@@ -171,9 +156,6 @@ impl ThreadKernel for ConsChild {
     fn name(&self) -> &str {
         "bench-dp-storm-child"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = self.base + t.global_id();
         t.ld(&self.data, i);
@@ -194,9 +176,6 @@ struct ConsParent {
 impl ThreadKernel for ConsParent {
     fn name(&self) -> &str {
         "bench-dp-storm"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let id = t.global_id();
@@ -224,9 +203,6 @@ struct StreamStorm {
 impl ThreadKernel for StreamStorm {
     fn name(&self) -> &str {
         "bench-stream-storm"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
@@ -262,6 +238,7 @@ fn run_workload(
 /// elision on or off.
 fn run_workload_strict(name: &str, elide: bool) -> Report {
     let mut gpu = Gpu::k20()
+        .with_threads(1)
         .with_check(npar_sim::CheckLevel::Strict)
         .with_elide(elide);
     drive(&mut gpu, name);
@@ -440,7 +417,10 @@ fn measure_cons(name: &str) -> (ConsSample, ConsSample) {
             (0, npar_sim::ConsolidateMode::Off),
             (1, npar_sim::ConsolidateMode::Auto),
         ] {
-            let mut gpu = Gpu::k20().with_memo(true).with_consolidation(mode);
+            let mut gpu = Gpu::k20()
+                .with_threads(1)
+                .with_memo(true)
+                .with_consolidation(mode);
             drive(&mut gpu, name);
             let r = gpu.synchronize();
             best_wall[slot] = best_wall[slot].min(r.sim.wall_seconds);

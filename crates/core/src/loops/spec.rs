@@ -23,9 +23,9 @@ use npar_sim::ThreadCtx;
 /// invokes it; the templates differ only in how iterations map to threads,
 /// blocks, buffers and nested grids.
 ///
-/// `Send + Sync` is required because kernels (which hold the loop) may be
-/// traced on host worker threads (see [`npar_sim::Gpu::with_threads`]);
-/// mutable functional state belongs in [`npar_sim::SyncCell`].
+/// `Send + Sync` is required because the kernels that hold the loop must
+/// be (the bound on [`npar_sim::Kernel`]); mutable functional state
+/// belongs in [`npar_sim::SyncCell`].
 pub trait IrregularLoop: Send + Sync {
     /// Name used to key profiler metrics.
     fn name(&self) -> &str;

@@ -14,9 +14,9 @@ use npar_tree::Tree;
 /// application state and record *timing* on the [`npar_sim::ThreadCtx`]; the
 /// templates only decide the mapping and ordering.
 ///
-/// `Send + Sync` is required because kernels (which hold the reduction) may
-/// be traced on host worker threads (see [`npar_sim::Gpu::with_threads`]);
-/// mutable functional state belongs in [`npar_sim::SyncCell`].
+/// `Send + Sync` is required because the kernels that hold the reduction
+/// must be (the bound on [`npar_sim::Kernel`]); mutable functional state
+/// belongs in [`npar_sim::SyncCell`].
 pub trait TreeReduce: Send + Sync {
     /// Name used to key profiler metrics.
     fn name(&self) -> &str;

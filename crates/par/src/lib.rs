@@ -6,8 +6,8 @@
 //! shaped around what the simulation engine needs:
 //!
 //! * **Per-lane worker state.** Each lane (OS thread) owns a `W` built by a
-//!   factory on that thread — alignment scratch buffers, recycled trace
-//!   pools — handed `&mut` to every task it runs. No `Sync` bound on `W`.
+//!   factory on that thread — alignment scratch buffers — handed `&mut` to
+//!   every task it runs. No `Sync` bound on `W`.
 //! * **Scoped tasks over borrowed data.** [`Pool::scope`] runs closures
 //!   that may borrow from the caller's stack frame; the scope does not
 //!   return until every task (including tasks spawned *by* tasks) has

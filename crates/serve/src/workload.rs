@@ -248,9 +248,6 @@ impl ThreadKernel for RegularWave {
     fn name(&self) -> &str {
         "serve-regular-wave"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
         let lane = t.thread_idx() as usize % 32;
@@ -275,9 +272,6 @@ impl ThreadKernel for DivergentSweep {
     fn name(&self) -> &str {
         "serve-divergent"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id() as u64 + self.salt;
         let trips = i.wrapping_mul(2_654_435_761) % 23;
@@ -297,9 +291,6 @@ struct StormChild {
 impl ThreadKernel for StormChild {
     fn name(&self) -> &str {
         "serve-dp-child"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
@@ -344,10 +335,6 @@ impl ThreadKernel for StormParent {
     fn name(&self) -> &str {
         "serve-dp-storm"
     }
-    fn parallel_trace(&self) -> bool {
-        // Fire-and-forget launches joined at grid completion only.
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         if t.is_leader() {
             t.launch(&self.child, STORM_CHILD, Stream::Default);
@@ -368,9 +355,6 @@ struct ConsChild {
 impl ThreadKernel for ConsChild {
     fn name(&self) -> &str {
         "serve-dp-cons-child"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = self.base + t.global_id();
@@ -394,9 +378,6 @@ struct ConsStormParent {
 impl ThreadKernel for ConsStormParent {
     fn name(&self) -> &str {
         "serve-dp-cons"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let id = t.global_id();
@@ -422,9 +403,6 @@ impl ThreadKernel for StreamBurst {
     fn name(&self) -> &str {
         "serve-stream-storm"
     }
-    fn parallel_trace(&self) -> bool {
-        true
-    }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let i = t.global_id();
         t.ld(&self.data, i);
@@ -445,9 +423,6 @@ struct MonteCarlo {
 impl ThreadKernel for MonteCarlo {
     fn name(&self) -> &str {
         "serve-monte-carlo"
-    }
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let warp = t.global_id() / 32;

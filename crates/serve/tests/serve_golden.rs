@@ -12,6 +12,11 @@
 //! response zeroes `sim` (asserted below), and its field set is host-side
 //! bookkeeping rather than model output; everything else, the modeled
 //! timeline and every per-kernel metric, is pinned byte for byte.
+//!
+//! The corpus is rendered at one and at two in-grid lanes per shard
+//! (`ServeConfig::gpu_threads`, `npar-serve --threads`): two lanes run the
+//! chunked executor, one lane the serial engine, and both must answer the
+//! same bytes.
 
 use npar_serve::{workload::Dataset, Request, Response, ServeConfig, Service, Source};
 use npar_sim::{ConsolidateMode, DeviceConfig, SimStats};
@@ -46,14 +51,14 @@ fn cases() -> Vec<(String, Request)> {
     cases
 }
 
-fn render_all() -> String {
+fn render_all(gpu_threads: usize) -> String {
     let service = Service::start(ServeConfig {
         shards: 1,
         queue_cap: 64,
         timeout: None,
         cache_dir: None,
         cold: false,
-        gpu_threads: 1,
+        gpu_threads,
     });
     let mut out = String::new();
     for (title, req) in cases() {
@@ -77,19 +82,22 @@ fn render_all() -> String {
 
 #[test]
 fn serve_reports_match_the_golden_corpus() {
-    let got = render_all();
-    if got != GOLDEN {
-        let first = got
-            .lines()
-            .zip(GOLDEN.lines())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| got.lines().count().min(GOLDEN.lines().count()));
-        panic!(
-            "serve output differs from tests/golden/serve_reports.txt at line {}:\n  \
-             got:    {:?}\n  golden: {:?}",
-            first + 1,
-            got.lines().nth(first),
-            GOLDEN.lines().nth(first)
-        );
+    for gpu_threads in [1, 2] {
+        let got = render_all(gpu_threads);
+        if got != GOLDEN {
+            let first = got
+                .lines()
+                .zip(GOLDEN.lines())
+                .position(|(a, b)| a != b)
+                .unwrap_or_else(|| got.lines().count().min(GOLDEN.lines().count()));
+            panic!(
+                "serve output at {gpu_threads} lanes differs from \
+                 tests/golden/serve_reports.txt at line {}:\n  \
+                 got:    {:?}\n  golden: {:?}",
+                first + 1,
+                got.lines().nth(first),
+                GOLDEN.lines().nth(first)
+            );
+        }
     }
 }

@@ -312,31 +312,6 @@ impl CheckState {
         self.suppressed.saturating_sub(mark.1)
     }
 
-    /// Splice a worker-local state into this one, in canonical order.
-    ///
-    /// The parallel executor gives each concurrently processed block a
-    /// fresh `CheckState` (same level) and absorbs them back in block
-    /// order. Hazards replay through [`CheckState::record`], so the global
-    /// storage cap and suppression counting behave exactly as if every
-    /// hazard had been recorded serially: a worker-local state stores at
-    /// least as many hazards as the serial path would still have accepted
-    /// from that block, so the first `MAX_HAZARDS` survivors are identical.
-    pub(crate) fn absorb(&mut self, other: CheckState) {
-        debug_assert_eq!(self.level, other.level);
-        debug_assert!(
-            other.grid_writes.is_empty(),
-            "grid write unions are published by finish_grid on the main thread"
-        );
-        for h in other.hazards {
-            self.record(h);
-        }
-        self.suppressed += other.suppressed;
-        self.fatal |= other.fatal;
-        self.lints.extend(other.lints);
-        self.scanned_blocks += other.scanned_blocks;
-        self.elided_blocks += other.elided_blocks;
-    }
-
     /// Forget batch-scoped bookkeeping (grid ids restart at zero after a
     /// synchronize, so stale write maps and lints must not leak across).
     /// Recorded diagnostics stay pending — [`crate::Gpu::take_check_report`]
@@ -361,17 +336,6 @@ pub(crate) struct GridAccess {
     writes: Vec<(u64, u64, u32)>,
     /// `(start, end, block)` merged atomic intervals.
     atomics: Vec<(u64, u64, u32)>,
-}
-
-impl GridAccess {
-    /// Splice a worker-local per-block accumulator into this one. Called in
-    /// block order by the parallel executor, reproducing exactly the
-    /// interval sequence the serial per-block [`scan_block`] calls build.
-    pub(crate) fn absorb(&mut self, other: GridAccess) {
-        self.reads.extend(other.reads);
-        self.writes.extend(other.writes);
-        self.atomics.extend(other.atomics);
-    }
 }
 
 /// Analyze one block's traces right after functional execution and before

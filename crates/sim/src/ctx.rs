@@ -7,76 +7,29 @@
 //! every thread after it, exactly the guarantee `__syncthreads` gives.
 //! Timing semantics come from the recorded traces, not execution order.
 //!
-//! Tracing runs against one of two hosts (see [`TraceHost`]): the serial
-//! engine-backed host, where device launches register immediately and
-//! `sync_children` recurses into child execution, or the worker-local host
-//! used when a [`crate::Kernel::parallel_trace`] kernel's blocks are traced
-//! concurrently — launches and hazards are collected locally and spliced
-//! into the engine in canonical block order afterwards.
+//! Every block traces on the thread that owns its [`crate::Gpu`], against
+//! the engine itself: device launches register immediately and
+//! `sync_children` recurses into child execution.
 
-use crate::check::{CheckLevel, CheckState};
-use crate::config::DeviceConfig;
+use crate::check::CheckLevel;
 use crate::engine::{register_grid, run_subtree, Engine, Origin};
 use crate::handle::GBuf;
 use crate::kernel::{BlockState, Kernel, KernelRef, LaunchConfig, Stream};
 use crate::memo::{BlockFps, Fingerprint};
 use crate::trace::{Barriers, Op};
 
-/// A device launch recorded by a concurrently traced block, pending
-/// canonical registration on the main thread. The matching
-/// [`Op::Launch`] in the trace carries the launch's *index in this list*
-/// as a placeholder grid id until the merge step patches the real one in.
-pub(crate) struct ParLaunch {
-    pub kernel: KernelRef,
-    pub cfg: LaunchConfig,
-    pub stream_slot: u32,
-    /// Launching thread's index within the block (consolidation scope key).
-    pub thread: u32,
-}
-
-/// Worker-local tracing backend for one concurrently traced block.
-pub(crate) struct ParTrace<'e> {
-    pub device: &'e DeviceConfig,
-    pub grid_name: &'e str,
-    pub grid_id: usize,
-    /// Local hazard state (invalid-launch diagnostics recorded mid-trace),
-    /// absorbed into the engine's state in block order at the merge.
-    pub check: CheckState,
-    /// Launches in issue order (thread order within the block).
-    pub launches: Vec<ParLaunch>,
-}
-
-/// What a [`BlockCtx`] traces against.
-pub(crate) enum TraceHost<'e> {
-    /// Single-threaded tracing with full engine access.
-    Serial(&'e mut Engine),
-    /// Concurrent tracing of a [`crate::Kernel::parallel_trace`] kernel on
-    /// a pool worker (or the main thread helping the pool).
-    Par(ParTrace<'e>),
-}
-
-impl TraceHost<'_> {
-    fn device(&self) -> &DeviceConfig {
-        match self {
-            TraceHost::Serial(e) => &e.device,
-            TraceHost::Par(p) => p.device,
-        }
-    }
-}
-
 /// What a finished [`BlockCtx`] hands back to its executor.
-pub(crate) struct BlockParts<'e> {
+pub(crate) struct BlockParts {
     pub traces: Vec<Vec<Op>>,
     pub barriers: Barriers,
     pub fps: BlockFps,
-    /// Child grids launched and not yet joined (serial host only).
+    /// Child grids launched and not yet joined.
     pub pending: Vec<usize>,
-    pub host: TraceHost<'e>,
 }
 
 /// Context for one thread block of a running kernel.
 pub struct BlockCtx<'e> {
-    host: TraceHost<'e>,
+    engine: &'e mut Engine,
     grid_id: usize,
     block_idx: u32,
     cfg: LaunchConfig,
@@ -91,19 +44,15 @@ pub struct BlockCtx<'e> {
     /// memoization is disabled or the kernel's fingerprint class is
     /// adaptively bypassed (see [`crate::memo::ClassStats`]).
     fp_on: bool,
-    /// The kernel opted into concurrent tracing ([`Kernel::parallel_trace`])
-    /// and therefore must not join children mid-block.
-    par_kernel: bool,
     state: BlockState,
-    /// Child grids launched by this block and not yet joined (serial host
-    /// only; the parallel host defers registration itself).
+    /// Child grids launched by this block and not yet joined.
     pending: Vec<usize>,
 }
 
 impl<'e> BlockCtx<'e> {
     #[allow(clippy::too_many_arguments)] // crate-internal; both executors thread the same set
     pub(crate) fn new(
-        host: TraceHost<'e>,
+        engine: &'e mut Engine,
         kernel: &dyn Kernel,
         grid_id: usize,
         block_idx: u32,
@@ -121,7 +70,7 @@ impl<'e> BlockCtx<'e> {
         barriers.reset(cfg.block_dim as usize);
         fps.reset(cfg.block_dim as usize);
         BlockCtx {
-            host,
+            engine,
             grid_id,
             block_idx,
             cfg,
@@ -129,19 +78,17 @@ impl<'e> BlockCtx<'e> {
             barriers,
             fps,
             fp_on,
-            par_kernel: kernel.parallel_trace(),
             state: kernel.block_state(block_idx),
             pending: Vec::new(),
         }
     }
 
-    pub(crate) fn into_parts(self) -> BlockParts<'e> {
+    pub(crate) fn into_parts(self) -> BlockParts {
         BlockParts {
             traces: self.traces,
             barriers: self.barriers,
             fps: self.fps,
             pending: self.pending,
-            host: self.host,
         }
     }
 
@@ -168,7 +115,7 @@ impl<'e> BlockCtx<'e> {
         let BlockFps { lanes, base } = &mut self.fps;
         for t in 0..self.cfg.block_dim {
             let mut ctx = ThreadCtx {
-                host: &mut self.host,
+                engine: &mut *self.engine,
                 trace: &mut self.traces[t as usize],
                 fp: &mut lanes[t as usize],
                 canon: &mut *base,
@@ -192,7 +139,7 @@ impl<'e> BlockCtx<'e> {
     /// leader-launches / leader-combines idioms.
     pub fn leader(&mut self, f: impl FnOnce(&mut ThreadCtx<'_, '_>)) {
         let mut ctx = ThreadCtx {
-            host: &mut self.host,
+            engine: &mut *self.engine,
             trace: &mut self.traces[0],
             fp: &mut self.fps.lanes[0],
             canon: &mut self.fps.base,
@@ -227,36 +174,19 @@ impl<'e> BlockCtx<'e> {
     /// parallelism). On the simulated device the waiting block is swapped
     /// out and pays a restore penalty when it resumes — the Kepler
     /// behaviour that makes in-kernel synchronization expensive.
-    ///
-    /// Panics when the kernel opted into [`Kernel::parallel_trace`]:
-    /// joining a child mid-block imposes an execution-order dependency that
-    /// concurrent tracing cannot honor (the panic fires at any thread
-    /// count, so the contract violation cannot hide on a serial run).
     pub fn sync_children(&mut self) {
-        assert!(
-            !self.par_kernel,
-            "parallel_trace kernels must not call sync_children: the mid-block \
-             join imposes an execution-order dependency concurrent tracing \
-             cannot honor (drop the parallel_trace opt-in or the join)"
-        );
-        match &mut self.host {
-            TraceHost::Serial(engine) => {
-                // Functional join: drain the block's launched children (and
-                // their descendants) so their results are visible after the
-                // barrier.
-                let pending = std::mem::take(&mut self.pending);
-                if !pending.is_empty() {
-                    // Publish any alignment work the chunked parallel
-                    // executor deferred, so the child grids observe exactly
-                    // the cache/metrics state the serial engine would have
-                    // at this point (no-op on the serial path).
-                    crate::parallel::flush_chunks(engine);
-                    for child in pending {
-                        run_subtree(engine, child);
-                    }
-                }
+        // Functional join: drain the block's launched children (and their
+        // descendants) so their results are visible after the barrier.
+        let pending = std::mem::take(&mut self.pending);
+        if !pending.is_empty() {
+            // Publish any alignment work the chunked parallel executor
+            // deferred, so the child grids observe exactly the cache/metrics
+            // state the serial engine would have at this point (no-op on
+            // the serial path).
+            crate::parallel::flush_chunks(self.engine);
+            for child in pending {
+                run_subtree(self.engine, child);
             }
-            TraceHost::Par(_) => unreachable!("par host implies parallel_trace"),
         }
         self.barriers.record(Op::SyncChildren, &self.traces);
         for t in &mut self.traces {
@@ -281,7 +211,7 @@ impl<'e> BlockCtx<'e> {
 
 /// Context for one thread: indices plus the instruction-recording API.
 pub struct ThreadCtx<'b, 'e> {
-    host: &'b mut TraceHost<'e>,
+    engine: &'b mut Engine,
     trace: &'b mut Vec<Op>,
     fp: &'b mut Fingerprint,
     /// The block's canonical global-address base (shared by all threads;
@@ -356,7 +286,7 @@ impl<'b, 'e> ThreadCtx<'b, 'e> {
     /// so structurally identical blocks at shifted addresses share keys.
     #[inline]
     fn canon_base(&mut self, addr: u64) -> u64 {
-        let line = u64::from(self.host.device().mem_transaction_bytes);
+        let line = u64::from(self.engine.device.mem_transaction_bytes);
         *self.canon.get_or_insert(addr & !(line - 1))
     }
 
@@ -440,72 +370,41 @@ impl<'b, 'e> ThreadCtx<'b, 'e> {
             Stream::Default => 0,
             Stream::Slot(n) => n,
         };
-        let grid = match &mut *self.host {
-            TraceHost::Serial(engine) => {
-                if let Err(err) = engine.device.validate_launch(&cfg) {
-                    let hazard = crate::check::memcheck::invalid_child_launch(
-                        &engine.grids[self.grid_id].name,
-                        self.grid_id,
-                        self.block_idx,
-                        self.thread_idx,
-                        &cfg,
-                        &err,
-                    );
-                    if engine.check.level == CheckLevel::Warn {
-                        engine.check.record(hazard);
-                    } else {
-                        engine.check.record_fatal(hazard);
-                    }
-                    return;
-                }
-                let child = register_grid(
-                    engine,
-                    kernel,
-                    cfg,
-                    Origin::Device {
-                        parent: self.grid_id,
-                        block: self.block_idx,
-                        stream_slot: slot,
-                        thread: self.thread_idx,
-                    },
-                );
-                self.pending.push(child);
-                u32::try_from(child).expect("grid id overflow")
+        let engine = &mut *self.engine;
+        if let Err(err) = engine.device.validate_launch(&cfg) {
+            let hazard = crate::check::memcheck::invalid_child_launch(
+                &engine.grids[self.grid_id].name,
+                self.grid_id,
+                self.block_idx,
+                self.thread_idx,
+                &cfg,
+                &err,
+            );
+            if engine.check.level == CheckLevel::Warn {
+                engine.check.record(hazard);
+            } else {
+                engine.check.record_fatal(hazard);
             }
-            TraceHost::Par(p) => {
-                if let Err(err) = p.device.validate_launch(&cfg) {
-                    let hazard = crate::check::memcheck::invalid_child_launch(
-                        p.grid_name,
-                        p.grid_id,
-                        self.block_idx,
-                        self.thread_idx,
-                        &cfg,
-                        &err,
-                    );
-                    if p.check.level == CheckLevel::Warn {
-                        p.check.record(hazard);
-                    } else {
-                        p.check.record_fatal(hazard);
-                    }
-                    return;
-                }
-                // Placeholder id (index into the block's launch list); the
-                // canonical merge registers the grid and patches the trace.
-                let placeholder = u32::try_from(p.launches.len()).expect("launch overflow");
-                p.launches.push(ParLaunch {
-                    kernel: std::sync::Arc::clone(kernel),
-                    cfg,
-                    stream_slot: slot,
-                    thread: self.thread_idx,
-                });
-                placeholder
-            }
+            return;
+        }
+        let child = register_grid(
+            engine,
+            kernel,
+            cfg,
+            Origin::Device {
+                parent: self.grid_id,
+                block: self.block_idx,
+                stream_slot: slot,
+                thread: self.thread_idx,
+            },
+        );
+        self.pending.push(child);
+        let op = Op::Launch {
+            grid: u32::try_from(child).expect("grid id overflow"),
         };
-        let op = Op::Launch { grid };
         // Recorded only for launches that actually happen: a rejected
         // launch leaves neither a trace op nor a fingerprint mark. The
-        // fingerprint fold ignores the grid id (run-specific), so the
-        // placeholder patching never invalidates a rolled fingerprint.
+        // fingerprint fold ignores the grid id, which is run-specific.
         if self.fp_on {
             self.fp.record(op, 0);
         }

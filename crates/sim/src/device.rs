@@ -97,10 +97,11 @@ impl Gpu {
 
     /// Set the number of host worker lanes used to simulate each grid's
     /// blocks (see DESIGN.md §10). `1` selects the serial executor; any
-    /// higher count fans block work out over a work-stealing pool. Reports
-    /// are byte-for-byte identical at every thread count — the setting
-    /// only changes host wall time. Values are clamped to at least 1; the
-    /// pool is rebuilt lazily on the next launch.
+    /// higher count keeps tracing on the calling thread and fans warp
+    /// alignment out over a work-stealing pool. Reports are byte-for-byte
+    /// identical at every thread count — the setting only changes host
+    /// wall time. Values are clamped to at least 1; the pool is rebuilt
+    /// lazily on the next launch.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = threads.max(1);
         if threads != self.engine.threads {

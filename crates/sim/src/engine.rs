@@ -16,11 +16,11 @@ use crate::block::{finalize_block, BlockOutcome};
 use crate::check::{self, CheckState, GridAccess};
 use crate::config::DeviceConfig;
 use crate::cost::CostModel;
-use crate::ctx::{BlockCtx, TraceHost};
+use crate::ctx::BlockCtx;
 use crate::error::SimError;
 use crate::kernel::{KernelRef, LaunchConfig};
 use crate::memo::{BlockFps, BlockMemo, ClassStats, MemoCache};
-use crate::parallel::BufPool;
+use crate::parallel::BlockBufs;
 use crate::profiler::{KernelMetrics, SimStats};
 use crate::trace::Barriers;
 use crate::warp::AlignScratch;
@@ -121,9 +121,10 @@ pub(crate) struct Engine {
     /// their lane count is tuned independently of block execution
     /// (DESIGN.md §13).
     pub timing_pool: Option<npar_par::Pool<()>>,
-    /// Sharded recycled block buffers for the parallel path (the parallel
-    /// counterpart of `trace_pool`/`fp_pool`).
-    pub bufs: BufPool,
+    /// Recycled block buffers for the chunked executor (its counterpart
+    /// of `trace_pool`/`fp_pool`). Only the main thread takes and returns
+    /// them.
+    pub bufs: Vec<BlockBufs>,
     /// Stack of per-grid chunked-executor states (innermost tracing grid on
     /// top); see [`crate::parallel::flush_chunks`]. Always empty on the
     /// serial path.
@@ -156,7 +157,7 @@ impl Engine {
             threads: 1,
             pool: None,
             timing_pool: None,
-            bufs: BufPool::default(),
+            bufs: Vec::new(),
             chunks: Vec::new(),
             analyzer: crate::analyze::Analyzer::default(),
         }
@@ -329,7 +330,7 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
         let barriers = std::mem::take(&mut engine.barrier_pool);
         let fps = std::mem::take(&mut engine.fp_pool);
         let mut blk = BlockCtx::new(
-            TraceHost::Serial(engine),
+            engine,
             kernel.as_ref(),
             id,
             b,
@@ -345,7 +346,6 @@ pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
             mut barriers,
             fps,
             pending,
-            ..
         } = blk.into_parts();
         // Split-borrow the engine so alignment can stream into the metrics
         // accumulator while reading the device/cost config.

@@ -105,6 +105,9 @@ impl BlockState {
 /// expressed with [`BlockCtx::sync`] *between* thread sweeps, which both
 /// preserves the functional semantics of `__syncthreads` (all writes before
 /// the barrier are visible after it) and records the barrier for timing.
+/// Blocks run one at a time, in block order, on the thread that owns the
+/// [`crate::Gpu`], so a block sees the functional writes of every
+/// lower-numbered block of its grid.
 ///
 /// Kernels that need no barrier typically implement [`ThreadKernel`] instead
 /// and get this trait via the blanket impl.
@@ -149,27 +152,6 @@ pub trait Kernel: Send + Sync {
 
     /// Execute one thread block.
     fn run_block(&self, blk: &mut BlockCtx<'_>);
-
-    /// Opt this kernel into concurrent block tracing.
-    ///
-    /// The simulator always *merges* per-block results in canonical block
-    /// order, so timing reports are deterministic regardless of this flag.
-    /// But functional execution itself mutates device memory, and by default
-    /// the simulator traces blocks one at a time in block-id order so that a
-    /// kernel may (deliberately or not) observe writes made by lower-numbered
-    /// blocks. A kernel that returns `true` here promises its blocks are
-    /// *order-independent between launch boundaries* — no block reads global
-    /// data that another block of the same grid writes — which lets the
-    /// parallel executor trace many blocks of the grid at once.
-    ///
-    /// Kernels that return `true` must not call
-    /// [`BlockCtx::sync_children`]: joining a child grid mid-block imposes an
-    /// execution-order dependency that concurrent tracing cannot honor, and
-    /// the simulator panics on the combination. Fire-and-forget device
-    /// launches (joined at parent-grid completion) are fine.
-    fn parallel_trace(&self) -> bool {
-        false
-    }
 }
 
 /// Convenience trait for barrier-free kernels: implement a per-thread body
@@ -180,11 +162,6 @@ pub trait ThreadKernel: Send + Sync {
 
     /// Execute one thread.
     fn run_thread(&self, t: &mut crate::ctx::ThreadCtx<'_, '_>);
-
-    /// See [`Kernel::parallel_trace`]; forwarded by the blanket impl.
-    fn parallel_trace(&self) -> bool {
-        false
-    }
 }
 
 impl<K: ThreadKernel> Kernel for K {
@@ -195,15 +172,10 @@ impl<K: ThreadKernel> Kernel for K {
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
         blk.for_each_thread(|t| self.run_thread(t));
     }
-
-    fn parallel_trace(&self) -> bool {
-        ThreadKernel::parallel_trace(self)
-    }
 }
 
 /// Shared-ownership handle to a kernel, as required for device-side
-/// launches (a child kernel must outlive the launching scope) and for
-/// multi-threaded host execution (workers trace blocks concurrently).
+/// launches (a child kernel must outlive the launching scope).
 pub type KernelRef = Arc<dyn Kernel>;
 
 #[cfg(test)]

@@ -333,14 +333,10 @@ pub(crate) const PROBE_STRIDE_MAX: u32 = 1024;
 /// not sanitized by the checker and launched no child (launch-bearing
 /// blocks never enter the block cache, so they say nothing about it).
 /// Promotion back to enabled happens at grid boundaries only
-/// ([`ClassStats::eval`]). Demotion additionally fires mid-grid in
-/// trace-order executors ([`ClassStats::probe`]) — a hostile first grid
-/// stops paying the fingerprint cost after `EVAL_MIN` cold probes instead
-/// of fingerprinting every block to its boundary. The concurrently traced
-/// path decides every block's fingerprinting before any probe resolves, so
-/// it keeps the grid-start policy; the policy is a host-side heuristic that
-/// never reaches the report (see `tests/memo_differential.rs`), so the
-/// paths may legally diverge here.
+/// ([`ClassStats::eval`]). Demotion additionally fires mid-grid
+/// ([`ClassStats::probe`]) — a hostile first grid stops paying the
+/// fingerprint cost after `EVAL_MIN` cold probes instead of fingerprinting
+/// every block to its boundary.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ClassStats {
     /// Whether every block of this class currently rolls fingerprints.

@@ -669,16 +669,13 @@ pub(crate) fn simulate_full(
     }
     let want_prof = prof.is_some();
     let mut slots: Vec<(u32, Option<DomainOut>)> = (0..ndom as u32).map(|i| (i, None)).collect();
-    let run_one = |_s: &npar_par::Scope<'_, ()>,
-                   _w: &mut (),
-                   _i: usize,
-                   slot: &mut (u32, Option<DomainOut>)| {
+    let run_one = |_w: &mut (), slot: &mut (u32, Option<DomainOut>)| {
         let i = slot.0;
         slot.1 = Some(run_domain(grids, device, cost, want_prof, &rank, i, i + 1));
     };
     match pool {
         Some(p) => {
-            p.scope(|scope, w| crate::parallel::split_tasks(scope, w, 0, &mut slots, &run_one));
+            p.scope(|scope, w| crate::parallel::split_tasks(scope, w, &mut slots, &run_one));
         }
         None => {
             let scope_less = |slot: &mut (u32, Option<DomainOut>)| {

@@ -1,13 +1,11 @@
 //! [`SyncCell`]: a tiny `RwLock`-backed cell with the ergonomics of
 //! `RefCell`/`Cell`.
 //!
-//! Kernels must be `Send + Sync` so the parallel host executor can trace
-//! blocks of a grid on several worker threads at once (see
-//! [`crate::Gpu::with_threads`]). Kernel state that used to live in
-//! `Rc<RefCell<T>>` or `Cell<T>` migrates to `Arc<SyncCell<T>>` /
-//! `SyncCell<T>` with no changes at the use sites: `borrow()`,
-//! `borrow_mut()`, `get()` and `set()` keep their spelling, they just take a
-//! reader/writer lock instead of bumping a borrow flag.
+//! Kernels must be `Send + Sync` (the bound on [`crate::Kernel`]), so
+//! kernel state that used to live in `Rc<RefCell<T>>` or `Cell<T>` migrates
+//! to `Arc<SyncCell<T>>` / `SyncCell<T>` with no changes at the use sites:
+//! `borrow()`, `borrow_mut()`, `get()` and `set()` keep their spelling, they
+//! just take a reader/writer lock instead of bumping a borrow flag.
 //!
 //! The backing lock is an `RwLock` rather than a `Mutex` so that every
 //! *legal* `RefCell` pattern keeps working — in particular two shared
@@ -17,10 +15,9 @@
 //! instead; such code cannot exist in a previously passing test suite.
 //!
 //! Like `RefCell`, a `SyncCell` is *not* a synchronization strategy — it is
-//! an interior-mutability primitive. Kernels that trace concurrently
-//! ([`crate::Kernel::parallel_trace`]) must still be order-independent
-//! between launch boundaries; the lock only makes access data-race-free, it
-//! does not make racy algorithms deterministic.
+//! an interior-mutability primitive. The simulator traces every block on
+//! the thread that owns its [`crate::Gpu`], in block order, so it never
+//! contends for the lock itself; host worker threads only align traces.
 
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -90,8 +87,8 @@ impl<T> SyncCell<T> {
     }
 
     fn write(&self) -> RwLockWriteGuard<'_, T> {
-        // Worker panics are captured and re-raised by the pool after the
-        // scope drains; a poisoned lock carries no extra information here.
+        // A panic while the lock was held (a kernel panicking mid-borrow)
+        // is reported where it happened; the poison flag adds nothing.
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
 }

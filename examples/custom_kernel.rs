@@ -1,7 +1,8 @@
 //! Writing a kernel directly against the simulator API: a histogram with
 //! global atomics, in a coalesced and an uncoalesced variant, showing how
-//! the profiler exposes memory behaviour and atomic contention — and how a
-//! kernel opts into multi-threaded host tracing (DESIGN.md §10).
+//! the profiler exposes memory behaviour and atomic contention — and how to
+//! set the host worker-thread count, which never changes the report
+//! (DESIGN.md §10).
 //!
 //! ```sh
 //! cargo run --release --example custom_kernel
@@ -30,13 +31,6 @@ impl ThreadKernel for Histogram {
         } else {
             "histogram-linear"
         }
-    }
-    /// Safe to trace blocks concurrently: the only shared functional state
-    /// is the bin counters, and `+= 1` under the `SyncCell` lock commutes —
-    /// every block order yields the same bins, and the recorded per-block
-    /// traces don't depend on other blocks at all.
-    fn parallel_trace(&self) -> bool {
-        true
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let n = self.data.len();
@@ -68,7 +62,8 @@ fn main() {
     let data: Vec<u32> = (0..n as u32).map(|x| x.wrapping_mul(2654435761)).collect();
 
     for strided in [false, true] {
-        // Host-side parallelism: trace/align blocks on up to 4 worker
+        // Host-side parallelism: blocks are traced on this thread in block
+        // order, and their warp alignment fans out over up to 4 worker
         // threads. Purely a wall-clock knob — the report below is
         // byte-identical at any thread count (or with no call at all,
         // which defaults to NPAR_THREADS / the machine's core count).

@@ -195,13 +195,12 @@ fn profiler_timelines_are_thread_invariant() {
     }
 }
 
-/// A dynamic-parallelism-heavy recursive kernel that opts into concurrent
-/// block tracing: every block's leader launches a child grid of the same
-/// kernel one level down (fire-and-forget, joined at grid completion — the
-/// only join `parallel_trace` allows). With several blocks per grid this
-/// exercises the fully concurrent executor end to end: worker-side trace
-/// hosts, canonical child registration with placeholder patching, and the
-/// pool's nested task submission (workers splitting spawned ranges again).
+/// A dynamic-parallelism-heavy recursive kernel: every block's leader
+/// launches a child grid of the same kernel one level down, fire-and-forget
+/// (joined at grid completion, never by `sync_children`). With several
+/// blocks per grid the chunked executor defers many launch-bearing blocks
+/// per flush, and every grid of the cascade registers its children while
+/// earlier blocks of the same grid still wait for alignment.
 struct RecSpawn {
     depth: u32,
     data: npar::sim::GBuf<f32>,
@@ -210,10 +209,6 @@ struct RecSpawn {
 impl Kernel for RecSpawn {
     fn name(&self) -> &str {
         "rec-spawn"
-    }
-
-    fn parallel_trace(&self) -> bool {
-        true
     }
 
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
@@ -252,7 +247,7 @@ fn launch_rec_spawn(gpu: &mut Gpu) -> Report {
 }
 
 #[test]
-fn parallel_traced_dp_kernel_is_thread_invariant() {
+fn recursive_dp_kernel_is_thread_invariant() {
     for (check, memo) in [
         (CheckLevel::Off, true),
         (CheckLevel::Off, false),
@@ -271,19 +266,15 @@ fn parallel_traced_dp_kernel_is_thread_invariant() {
     );
 }
 
-/// Invalid device launches recorded mid-trace by concurrent workers must be
-/// spliced into the report in canonical block order — hazard counts (and
-/// under Warn, the execution that continues past them) must not depend on
-/// the thread count.
+/// Invalid device launches are recorded mid-trace, while earlier blocks of
+/// the grid wait in the chunked executor's deferred list — hazard counts
+/// (and under Warn, the execution that continues past them) must not
+/// depend on the thread count.
 struct BadLauncher;
 
 impl Kernel for BadLauncher {
     fn name(&self) -> &str {
         "bad-launcher"
-    }
-
-    fn parallel_trace(&self) -> bool {
-        true
     }
 
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
