@@ -30,7 +30,7 @@ done
 # scheduler-equivalence suite (tests/sched_differential.rs) rides in both
 # passes, pinning fast-forward on/off byte-equality at each thread count.
 # --workspace runs every member crate's suite too (serde_json, sim, serve,
-# core, apps, ...), not only the root package's.
+# core, apps, ...), not only the root package's, doc tests included.
 NPAR_THREADS=1 cargo test -q --workspace
 cargo test -q --workspace
 # The scheduler-equivalence suite rides again with the timing pass forced
@@ -46,7 +46,6 @@ NPAR_THREADS=8 NPAR_TIMING_THREADS=8 cargo test -q --test sched_differential
 # API change that breaks the benchmark fails CI rather than a benchmark run.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
-cargo test -q --doc --workspace
 # Docs freshness: every flag runner::parse accepts must have a row in
 # README.md's flags table (fails naming the missing flag).
 cargo run --release -p npar-bench --bin docs_check

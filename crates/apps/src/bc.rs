@@ -8,8 +8,8 @@
 //! graphs we default to a deterministic source sample (`sources`) — the
 //! template comparison is a ratio and unaffected (DESIGN.md §1).
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use npar_core::{run_loop, IrregularLoop, LoopParams, LoopTemplate};
 use npar_graph::Csr;
@@ -30,13 +30,13 @@ pub struct BcResult {
 }
 
 struct BcState {
-    level: SyncCell<Vec<i32>>,
-    sigma: SyncCell<Vec<f64>>,
-    delta: SyncCell<Vec<f64>>,
-    bc: SyncCell<Vec<f64>>,
-    cur: SyncCell<i32>,
-    frontier_grew: SyncCell<bool>,
-    src: SyncCell<usize>,
+    level: RefCell<Vec<i32>>,
+    sigma: RefCell<Vec<f64>>,
+    delta: RefCell<Vec<f64>>,
+    bc: RefCell<Vec<f64>>,
+    cur: Cell<i32>,
+    frontier_grew: Cell<bool>,
+    src: Cell<usize>,
 }
 
 struct BcBufs {
@@ -51,8 +51,8 @@ struct BcBufs {
 /// discovering the next level and accumulating shortest-path counts.
 struct ForwardLoop {
     g: Csr,
-    st: Arc<BcState>,
-    bufs: Arc<BcBufs>,
+    st: Rc<BcState>,
+    bufs: Rc<BcBufs>,
 }
 
 impl IrregularLoop for ForwardLoop {
@@ -109,8 +109,8 @@ impl IrregularLoop for ForwardLoop {
 /// successors on level `cur + 1` (a per-node reduction).
 struct BackwardLoop {
     g: Csr,
-    st: Arc<BcState>,
-    bufs: Arc<BcBufs>,
+    st: Rc<BcState>,
+    bufs: Rc<BcBufs>,
 }
 
 impl IrregularLoop for BackwardLoop {
@@ -184,31 +184,31 @@ pub fn bc_gpu(
     params: &LoopParams,
 ) -> BcResult {
     let n = g.num_nodes();
-    let bufs = Arc::new(BcBufs {
+    let bufs = Rc::new(BcBufs {
         csr: CsrBufs::alloc(gpu, g),
         level: gpu.alloc::<i32>(n.max(1)),
         sigma: gpu.alloc::<f32>(n.max(1)),
         delta: gpu.alloc::<f32>(n.max(1)),
         bc: gpu.alloc::<f32>(n.max(1)),
     });
-    let st = Arc::new(BcState {
-        level: SyncCell::new(vec![UNSEEN; n]),
-        sigma: SyncCell::new(vec![0.0; n]),
-        delta: SyncCell::new(vec![0.0; n]),
-        bc: SyncCell::new(vec![0.0; n]),
-        cur: SyncCell::new(0),
-        frontier_grew: SyncCell::new(false),
-        src: SyncCell::new(0),
+    let st = Rc::new(BcState {
+        level: RefCell::new(vec![UNSEEN; n]),
+        sigma: RefCell::new(vec![0.0; n]),
+        delta: RefCell::new(vec![0.0; n]),
+        bc: RefCell::new(vec![0.0; n]),
+        cur: Cell::new(0),
+        frontier_grew: Cell::new(false),
+        src: Cell::new(0),
     });
-    let fwd = Arc::new(ForwardLoop {
+    let fwd = Rc::new(ForwardLoop {
         g: g.clone(),
-        st: Arc::clone(&st),
-        bufs: Arc::clone(&bufs),
+        st: Rc::clone(&st),
+        bufs: Rc::clone(&bufs),
     });
-    let bwd = Arc::new(BackwardLoop {
+    let bwd = Rc::new(BackwardLoop {
         g: g.clone(),
-        st: Arc::clone(&st),
-        bufs: Arc::clone(&bufs),
+        st: Rc::clone(&st),
+        bufs: Rc::clone(&bufs),
     });
 
     let mut acc = ReportAcc::default();

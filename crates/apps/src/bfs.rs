@@ -13,8 +13,8 @@
 //! Serial CPU references: the classic queue BFS and the recursive
 //! depth-first-ordered variant the paper normalizes Figure 9 against.
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use npar_core::{run_loop, IrregularLoop, LoopParams, LoopTemplate};
 use npar_graph::Csr;
@@ -41,14 +41,14 @@ pub struct BfsResult {
 // ---------------------------------------------------------------------------
 
 struct FlatBfsState {
-    level: SyncCell<Vec<u32>>,
-    cur: npar_sim::SyncCell<u32>,
-    grew: npar_sim::SyncCell<bool>,
+    level: RefCell<Vec<u32>>,
+    cur: Cell<u32>,
+    grew: Cell<bool>,
 }
 
 struct FlatBfsLoop {
     g: Csr,
-    st: Arc<FlatBfsState>,
+    st: Rc<FlatBfsState>,
     bufs: CsrBufs,
     level_buf: GBuf<u32>,
 }
@@ -113,15 +113,15 @@ pub fn bfs_flat_gpu(
     assert!(src < n);
     let bufs = CsrBufs::alloc(gpu, g);
     let level_buf = gpu.alloc::<u32>(n);
-    let st = Arc::new(FlatBfsState {
-        level: SyncCell::new(vec![UNREACHED; n]),
-        cur: npar_sim::SyncCell::new(0),
-        grew: npar_sim::SyncCell::new(false),
+    let st = Rc::new(FlatBfsState {
+        level: RefCell::new(vec![UNREACHED; n]),
+        cur: Cell::new(0),
+        grew: Cell::new(false),
     });
     st.level.borrow_mut()[src] = 0;
-    let app = Arc::new(FlatBfsLoop {
+    let app = Rc::new(FlatBfsLoop {
         g: g.clone(),
-        st: Arc::clone(&st),
+        st: Rc::clone(&st),
         bufs,
         level_buf,
     });
@@ -149,7 +149,7 @@ pub fn bfs_flat_gpu(
 
 struct RecBfsShared {
     g: Csr,
-    level: SyncCell<Vec<u32>>,
+    level: RefCell<Vec<u32>>,
     bufs: CsrBufs,
     level_buf: GBuf<u32>,
     streams: u32,
@@ -172,7 +172,7 @@ impl RecBfsShared {
 /// Naive recursive BFS kernel: one block over `node`'s neighbors; every
 /// thread that improves its neighbor launches a child grid for it.
 struct RecBfsNaiveKernel {
-    sh: Arc<RecBfsShared>,
+    sh: Rc<RecBfsShared>,
     node: usize,
     node_level: u32,
 }
@@ -197,8 +197,8 @@ impl Kernel for RecBfsNaiveKernel {
                 if sh.relax(w, cand) {
                     t.atomic(&sh.level_buf, w);
                     if sh.g.degree(w) > 0 {
-                        let child: KernelRef = Arc::new(RecBfsNaiveKernel {
-                            sh: Arc::clone(sh),
+                        let child: KernelRef = Rc::new(RecBfsNaiveKernel {
+                            sh: Rc::clone(sh),
                             node: w,
                             node_level: cand,
                         });
@@ -217,7 +217,7 @@ impl Kernel for RecBfsNaiveKernel {
 /// neighborhood; improved neighbors are expanded with one nested launch
 /// per block.
 struct RecBfsHierKernel {
-    sh: Arc<RecBfsShared>,
+    sh: Rc<RecBfsShared>,
     node: usize,
     node_level: u32,
 }
@@ -277,8 +277,8 @@ impl Kernel for RecBfsHierKernel {
             }
         });
         if w_deg > 0 {
-            let child: KernelRef = Arc::new(RecBfsHierKernel {
-                sh: Arc::clone(sh),
+            let child: KernelRef = Rc::new(RecBfsHierKernel {
+                sh: Rc::clone(sh),
                 node: w,
                 node_level: cand,
             });
@@ -319,9 +319,9 @@ pub fn bfs_recursive_gpu(
     assert!(src < n);
     let bufs = CsrBufs::alloc(gpu, g);
     let level_buf = gpu.alloc::<u32>(n);
-    let sh = Arc::new(RecBfsShared {
+    let sh = Rc::new(RecBfsShared {
         g: g.clone(),
-        level: SyncCell::new(vec![UNREACHED; n]),
+        level: RefCell::new(vec![UNREACHED; n]),
         bufs,
         level_buf,
         streams: streams.max(1),
@@ -331,8 +331,8 @@ pub fn bfs_recursive_gpu(
     if sh.g.degree(src) > 0 {
         match variant {
             RecBfsVariant::Naive => {
-                let k = Arc::new(RecBfsNaiveKernel {
-                    sh: Arc::clone(&sh),
+                let k = Rc::new(RecBfsNaiveKernel {
+                    sh: Rc::clone(&sh),
                     node: src,
                     node_level: 0,
                 });
@@ -341,8 +341,8 @@ pub fn bfs_recursive_gpu(
             }
             RecBfsVariant::Hier => {
                 let cfg = RecBfsHierKernel::config_for(&sh, src);
-                let k = Arc::new(RecBfsHierKernel {
-                    sh: Arc::clone(&sh),
+                let k = Rc::new(RecBfsHierKernel {
+                    sh: Rc::clone(&sh),
                     node: src,
                     node_level: 0,
                 });

@@ -2,8 +2,8 @@
 //! references: pull-style iteration — each node gathers the ranks of its
 //! in-neighbors (an irregular nested loop over the transpose graph).
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar_core::{run_loop, IrregularLoop, LoopParams, LoopTemplate};
 use npar_graph::Csr;
@@ -28,8 +28,8 @@ struct PrLoop {
     rev: Csr,
     /// Out-degrees in the original orientation.
     outdeg: Vec<u32>,
-    rank: SyncCell<Vec<f64>>,
-    next: SyncCell<Vec<f64>>,
+    rank: RefCell<Vec<f64>>,
+    next: RefCell<Vec<f64>>,
     bufs: CsrBufs,
     rank_buf: GBuf<f32>,
     next_buf: GBuf<f32>,
@@ -94,11 +94,11 @@ pub fn pagerank_gpu(
     let rank_buf = gpu.alloc::<f32>(n.max(1));
     let next_buf = gpu.alloc::<f32>(n.max(1));
     let outdeg_buf = gpu.alloc::<u32>(n.max(1));
-    let app = Arc::new(PrLoop {
+    let app = Rc::new(PrLoop {
         rev,
         outdeg,
-        rank: SyncCell::new(vec![1.0 / n.max(1) as f64; n]),
-        next: SyncCell::new(vec![0.0; n]),
+        rank: RefCell::new(vec![1.0 / n.max(1) as f64; n]),
+        next: RefCell::new(vec![0.0; n]),
         bufs,
         rank_buf,
         next_buf,

@@ -9,8 +9,8 @@
 //! * **MergeSort (flat)** — log₂ n host-launched passes; each pass merges
 //!   run pairs with one thread per element (binary-search rank).
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar_sim::{
     BlockCtx, GBuf, Gpu, Kernel, KernelRef, LaunchConfig, Report, Stream, ThreadCtx, ThreadKernel,
@@ -73,7 +73,7 @@ pub struct SortResult {
 }
 
 struct SortState {
-    data: SyncCell<Vec<u32>>,
+    data: RefCell<Vec<u32>>,
     buf: GBuf<u32>,
     scratch: GBuf<u32>,
 }
@@ -81,8 +81,8 @@ struct SortState {
 /// Sort `input` on the simulated GPU with `algo`.
 pub fn sort_gpu(gpu: &mut Gpu, input: &[u32], algo: SortAlgo, params: &SortParams) -> SortResult {
     let n = input.len();
-    let st = Arc::new(SortState {
-        data: SyncCell::new(input.to_vec()),
+    let st = Rc::new(SortState {
+        data: RefCell::new(input.to_vec()),
         buf: gpu.alloc::<u32>(n.max(1)),
         scratch: gpu.alloc::<u32>(n.max(1)),
     });
@@ -90,8 +90,8 @@ pub fn sort_gpu(gpu: &mut Gpu, input: &[u32], algo: SortAlgo, params: &SortParam
         SortAlgo::MergeFlat => merge_flat(gpu, &st),
         SortAlgo::QuickSimple => {
             if n > 1 {
-                let k = Arc::new(SimpleQsortKernel {
-                    st: Arc::clone(&st),
+                let k = Rc::new(SimpleQsortKernel {
+                    st: Rc::clone(&st),
                     lo: 0,
                     hi: n,
                     depth: 0,
@@ -103,8 +103,8 @@ pub fn sort_gpu(gpu: &mut Gpu, input: &[u32], algo: SortAlgo, params: &SortParam
         }
         SortAlgo::QuickAdvanced => {
             if n > 1 {
-                let k = Arc::new(AdvancedQsortKernel {
-                    st: Arc::clone(&st),
+                let k = Rc::new(AdvancedQsortKernel {
+                    st: Rc::clone(&st),
                     lo: 0,
                     hi: n,
                     depth: 0,
@@ -126,7 +126,7 @@ pub fn sort_gpu(gpu: &mut Gpu, input: &[u32], algo: SortAlgo, params: &SortParam
 // ---------------------------------------------------------------------------
 
 struct MergePassKernel {
-    st: Arc<SortState>,
+    st: Rc<SortState>,
     /// Snapshot of the pass input (so every thread ranks against the same
     /// data while the output vector is rebuilt).
     src: Vec<u32>,
@@ -179,7 +179,7 @@ impl ThreadKernel for MergePassKernel {
     }
 }
 
-fn merge_flat(gpu: &mut Gpu, st: &Arc<SortState>) {
+fn merge_flat(gpu: &mut Gpu, st: &Rc<SortState>) {
     let n = st.data.borrow().len();
     if n <= 1 {
         return;
@@ -187,8 +187,8 @@ fn merge_flat(gpu: &mut Gpu, st: &Arc<SortState>) {
     let mut width = 1usize;
     while width < n {
         let src = st.data.borrow().clone();
-        let k = Arc::new(MergePassKernel {
-            st: Arc::clone(st),
+        let k = Rc::new(MergePassKernel {
+            st: Rc::clone(st),
             src,
             width,
         });
@@ -203,7 +203,7 @@ fn merge_flat(gpu: &mut Gpu, st: &Arc<SortState>) {
 // ---------------------------------------------------------------------------
 
 struct SimpleQsortKernel {
-    st: Arc<SortState>,
+    st: Rc<SortState>,
     lo: usize,
     hi: usize,
     depth: u32,
@@ -249,8 +249,8 @@ impl ThreadKernel for SimpleQsortKernel {
         // Recurse on both halves in separate streams (as the SDK sample
         // does, so siblings can run concurrently).
         if mid > lo + 1 {
-            let left: KernelRef = Arc::new(SimpleQsortKernel {
-                st: Arc::clone(&self.st),
+            let left: KernelRef = Rc::new(SimpleQsortKernel {
+                st: Rc::clone(&self.st),
                 lo,
                 hi: mid,
                 depth: self.depth + 1,
@@ -259,8 +259,8 @@ impl ThreadKernel for SimpleQsortKernel {
             t.launch(&left, LaunchConfig::new(1, 1), Stream::Slot(0));
         }
         if hi > mid + 2 {
-            let right: KernelRef = Arc::new(SimpleQsortKernel {
-                st: Arc::clone(&self.st),
+            let right: KernelRef = Rc::new(SimpleQsortKernel {
+                st: Rc::clone(&self.st),
                 lo: mid + 1,
                 hi,
                 depth: self.depth + 1,
@@ -304,7 +304,7 @@ fn advanced_shared(len: usize, depth: u32, params: &SortParams) -> u32 {
 }
 
 struct AdvancedQsortKernel {
-    st: Arc<SortState>,
+    st: Rc<SortState>,
     lo: usize,
     hi: usize,
     depth: u32,
@@ -403,8 +403,8 @@ impl Kernel for AdvancedQsortKernel {
         if mid_lo > lo + 1 {
             let shared = advanced_shared(mid_lo - lo, self.depth + 1, &self.params);
             children.push((
-                Arc::new(AdvancedQsortKernel {
-                    st: Arc::clone(&self.st),
+                Rc::new(AdvancedQsortKernel {
+                    st: Rc::clone(&self.st),
                     lo,
                     hi: mid_lo,
                     depth: self.depth + 1,
@@ -417,8 +417,8 @@ impl Kernel for AdvancedQsortKernel {
         if hi > mid_hi + 1 {
             let shared = advanced_shared(hi - mid_hi, self.depth + 1, &self.params);
             children.push((
-                Arc::new(AdvancedQsortKernel {
-                    st: Arc::clone(&self.st),
+                Rc::new(AdvancedQsortKernel {
+                    st: Rc::clone(&self.st),
                     lo: mid_hi,
                     hi,
                     depth: self.depth + 1,

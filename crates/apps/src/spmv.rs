@@ -2,8 +2,8 @@
 //! [Greathouse & Daga, SC'14 baseline]. `y = A·x` where the inner loop over
 //! a row's nonzeros is irregular whenever the matrix is.
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar_core::{run_loop, IrregularLoop, LoopParams, LoopTemplate};
 use npar_graph::Csr;
@@ -23,7 +23,7 @@ pub struct SpmvResult {
 struct SpmvLoop {
     a: Csr,
     x: Vec<f32>,
-    y: SyncCell<Vec<f32>>,
+    y: RefCell<Vec<f32>>,
     bufs: CsrBufs,
     x_buf: GBuf<f32>,
     y_buf: GBuf<f32>,
@@ -80,10 +80,10 @@ pub fn spmv_gpu(
     let bufs = CsrBufs::alloc(gpu, a);
     let x_buf = gpu.alloc::<f32>(x.len().max(1));
     let y_buf = gpu.alloc::<f32>(a.num_nodes().max(1));
-    let app = Arc::new(SpmvLoop {
+    let app = Rc::new(SpmvLoop {
         a: a.clone(),
         x: x.to_vec(),
-        y: SyncCell::new(vec![0.0; a.num_nodes()]),
+        y: RefCell::new(vec![0.0; a.num_nodes()]),
         bufs,
         x_buf,
         y_buf,

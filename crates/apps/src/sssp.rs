@@ -3,8 +3,8 @@
 //! iterative relaxation with a frontier mask, a relax kernel (the irregular
 //! nested loop) and an update kernel, repeated until no distance improves.
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use npar_core::{run_loop, IrregularLoop, LoopParams, LoopTemplate};
 use npar_graph::Csr;
@@ -27,15 +27,15 @@ pub struct SsspResult {
 }
 
 struct SsspState {
-    dist: SyncCell<Vec<f32>>,
-    up: SyncCell<Vec<f32>>,
-    mask: SyncCell<Vec<bool>>,
-    changed: SyncCell<bool>,
+    dist: RefCell<Vec<f32>>,
+    up: RefCell<Vec<f32>>,
+    mask: RefCell<Vec<bool>>,
+    changed: Cell<bool>,
 }
 
 struct RelaxLoop {
     g: Csr,
-    st: Arc<SsspState>,
+    st: Rc<SsspState>,
     bufs: CsrBufs,
     dist_buf: GBuf<f32>,
     up_buf: GBuf<f32>,
@@ -96,7 +96,7 @@ impl IrregularLoop for RelaxLoop {
 /// rebuild the frontier mask (regular, fully coalesced — launched outside
 /// the templates like in the reference implementation).
 struct UpdateKernel {
-    st: Arc<SsspState>,
+    st: Rc<SsspState>,
     n: usize,
     dist_buf: GBuf<f32>,
     up_buf: GBuf<f32>,
@@ -143,26 +143,26 @@ pub fn sssp_gpu(
     let dist_buf = gpu.alloc::<f32>(n);
     let up_buf = gpu.alloc::<f32>(n);
     let mask_buf = gpu.alloc::<u32>(n);
-    let st = Arc::new(SsspState {
-        dist: SyncCell::new(vec![INF; n]),
-        up: SyncCell::new(vec![INF; n]),
-        mask: SyncCell::new(vec![false; n]),
-        changed: SyncCell::new(false),
+    let st = Rc::new(SsspState {
+        dist: RefCell::new(vec![INF; n]),
+        up: RefCell::new(vec![INF; n]),
+        mask: RefCell::new(vec![false; n]),
+        changed: Cell::new(false),
     });
     st.dist.borrow_mut()[src] = 0.0;
     st.up.borrow_mut()[src] = 0.0;
     st.mask.borrow_mut()[src] = true;
 
-    let relax = Arc::new(RelaxLoop {
+    let relax = Rc::new(RelaxLoop {
         g: g.clone(),
-        st: Arc::clone(&st),
+        st: Rc::clone(&st),
         bufs,
         dist_buf,
         up_buf,
         mask_buf,
     });
-    let update = Arc::new(UpdateKernel {
-        st: Arc::clone(&st),
+    let update = Rc::new(UpdateKernel {
+        st: Rc::clone(&st),
         n,
         dist_buf,
         up_buf,

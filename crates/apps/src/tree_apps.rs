@@ -3,8 +3,8 @@
 //! run through the flat / rec-naive / rec-hier templates, plus the serial
 //! CPU references (recursive and iterative) the speedups normalize against.
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar_core::{run_recursive, RecParams, RecTemplate, TreeReduce};
 use npar_sim::{CpuCounter, GBuf, Gpu, Report};
@@ -41,7 +41,7 @@ pub struct TreeResult {
 struct TreeApp {
     metric: TreeMetric,
     tree: Tree,
-    vals: SyncCell<Vec<u64>>,
+    vals: RefCell<Vec<u64>>,
     values: GBuf<u64>,
     parents: GBuf<u32>,
     offsets: GBuf<u32>,
@@ -96,9 +96,9 @@ pub fn tree_gpu(
     params: &RecParams,
 ) -> TreeResult {
     let n = tree.num_nodes();
-    let app = Arc::new(TreeApp {
+    let app = Rc::new(TreeApp {
         metric,
-        vals: SyncCell::new(vec![1; n]),
+        vals: RefCell::new(vec![1; n]),
         values: gpu.alloc::<u64>(n),
         parents: gpu.alloc::<u32>(n),
         offsets: gpu.alloc::<u32>(n + 1),

@@ -41,7 +41,7 @@
 //! baseline ratio, or a >3% divergent wall regression from the fast paths.
 //! Refresh the baseline with `--update-baseline`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar_bench::{results, runner, table};
 use npar_sim::{Gpu, KernelRef, LaunchConfig, Report, SimStats, Stream, ThreadCtx, ThreadKernel};
@@ -184,7 +184,7 @@ impl ThreadKernel for ConsParent {
         } else {
             LaunchConfig::new(1, 32)
         };
-        let child: KernelRef = Arc::new(ConsChild {
+        let child: KernelRef = Rc::new(ConsChild {
             data: self.data,
             base: id * 128,
         });
@@ -252,7 +252,7 @@ fn drive(gpu: &mut Gpu, name: &str) {
             let threads = 128 * 256;
             let x = gpu.alloc::<f32>(threads * 4 + 32 * 997 + 128);
             let y = gpu.alloc::<f32>(threads * 4);
-            let k = Arc::new(Regular { x, y });
+            let k = Rc::new(Regular { x, y });
             for _ in 0..LAUNCHES {
                 gpu.launch(k.clone(), LaunchConfig::new(128, 256)).unwrap();
             }
@@ -261,14 +261,14 @@ fn drive(gpu: &mut Gpu, name: &str) {
             let n = 128 * 256;
             let data = gpu.alloc::<f32>(n);
             for salt in 0..LAUNCHES {
-                let k = Arc::new(Divergent { n, salt, data });
+                let k = Rc::new(Divergent { n, salt, data });
                 gpu.launch(k, LaunchConfig::new(128, 256)).unwrap();
             }
         }
         "dp-heavy" => {
             let data = gpu.alloc::<f32>(5 * 4 * 64);
-            let child: KernelRef = Arc::new(DpChild { data });
-            let k = Arc::new(DpParent { child });
+            let child: KernelRef = Rc::new(DpChild { data });
+            let k = Rc::new(DpParent { child });
             for _ in 0..LAUNCHES {
                 gpu.launch(k.clone(), LaunchConfig::new(64, 64)).unwrap();
             }
@@ -280,14 +280,14 @@ fn drive(gpu: &mut Gpu, name: &str) {
             // scheduling cost, which consolidation exists to erase, not
             // per-thread tracing throughput (regular/divergent cover that).
             let data = gpu.alloc::<f32>(256 * 128 + 128);
-            let k = Arc::new(ConsParent { data });
+            let k = Rc::new(ConsParent { data });
             for _ in 0..LAUNCHES {
                 gpu.launch(k.clone(), LaunchConfig::new(4, 64)).unwrap();
             }
         }
         "stream-storm" => {
             let data = gpu.alloc::<f32>(8 * 64);
-            let k = Arc::new(StreamStorm { data });
+            let k = Rc::new(StreamStorm { data });
             // Contiguous launch runs per stream: domain s's releases all
             // precede domain s+1's first release, and each grid finishes
             // well inside one host launch interval, so the windows are

@@ -2,8 +2,8 @@
 //! code a template-aware compiler would generate from the user's
 //! [`IrregularLoop`]; the host-side drivers live in [`super`].
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar_sim::{
     BlockCtx, BlockState, GBuf, Kernel, KernelRef, LaunchConfig, Stream, ThreadCtx, ThreadKernel,
@@ -20,7 +20,7 @@ const REDUCE_BASE: u32 = 4096;
 /// holds one tail counter plus 1023 buffered indices.
 const DBUF_CAP: usize = (REDUCE_BASE as usize - 4) / 4;
 
-pub(crate) type App = Arc<dyn IrregularLoop>;
+pub(crate) type App = Rc<dyn IrregularLoop>;
 
 fn serial_iteration(app: &App, t: &mut ThreadCtx<'_, '_>, i: usize) {
     app.outer_begin(t, i);
@@ -58,10 +58,7 @@ pub(crate) enum RowSource {
     /// All `n` outer iterations, block-cyclic.
     All(usize),
     /// Indices staged in a device queue (dual-queue / dbuf-global phase 2).
-    Queue {
-        items: Arc<Vec<u32>>,
-        buf: GBuf<u32>,
-    },
+    Queue { items: Rc<Vec<u32>>, buf: GBuf<u32> },
 }
 
 impl RowSource {
@@ -145,7 +142,7 @@ pub(crate) struct QueueBuildKernel {
     pub tails: GBuf<u32>,
     pub small_buf: GBuf<u32>,
     pub large_buf: GBuf<u32>,
-    pub queues: Arc<SyncCell<(Vec<u32>, Vec<u32>)>>,
+    pub queues: Rc<RefCell<(Vec<u32>, Vec<u32>)>>,
 }
 
 impl ThreadKernel for QueueBuildKernel {
@@ -178,7 +175,7 @@ impl ThreadKernel for QueueBuildKernel {
 pub(crate) struct QueueThreadKernel {
     pub name: String,
     pub app: App,
-    pub items: Arc<Vec<u32>>,
+    pub items: Rc<Vec<u32>>,
     pub buf: GBuf<u32>,
 }
 
@@ -206,7 +203,7 @@ pub(crate) struct DbufGlobalFilterKernel {
     pub lb_thres: usize,
     pub tail: GBuf<u32>,
     pub buf: GBuf<u32>,
-    pub buffered: Arc<SyncCell<Vec<u32>>>,
+    pub buffered: Rc<RefCell<Vec<u32>>>,
 }
 
 impl ThreadKernel for DbufGlobalFilterKernel {
@@ -302,7 +299,7 @@ pub(crate) struct DparNaiveKernel {
     /// Outer iterations handed to child grids, recorded for the host-side
     /// [`OuterEndKernel`] epilogue (the inner-length classification can
     /// change while the grid runs, so the set must be captured here).
-    pub launched: Arc<SyncCell<Vec<u32>>>,
+    pub launched: Rc<RefCell<Vec<u32>>>,
 }
 
 impl ThreadKernel for DparNaiveKernel {
@@ -319,9 +316,9 @@ impl ThreadKernel for DparNaiveKernel {
             if f <= self.lb_thres {
                 serial_iteration(&self.app, t, i);
             } else {
-                let child: KernelRef = Arc::new(DparInnerKernel {
+                let child: KernelRef = Rc::new(DparInnerKernel {
                     name: format!("{}-child", self.name),
-                    app: Arc::clone(&self.app),
+                    app: Rc::clone(&self.app),
                     i,
                 });
                 self.launched.borrow_mut().push(i as u32);
@@ -377,7 +374,7 @@ impl ThreadKernel for DparInnerKernel {
 pub(crate) struct OuterEndKernel {
     pub name: String,
     pub app: App,
-    pub items: Arc<Vec<u32>>,
+    pub items: Rc<Vec<u32>>,
     pub buf: GBuf<u32>,
 }
 
@@ -438,14 +435,14 @@ impl Kernel for DparOptKernel {
             }
         });
         blk.sync();
-        let items = Arc::new(blk.state::<Vec<u32>>().clone());
+        let items = Rc::new(blk.state::<Vec<u32>>().clone());
         if items.is_empty() {
             return;
         }
-        let child: KernelRef = Arc::new(DparOptChildKernel {
+        let child: KernelRef = Rc::new(DparOptChildKernel {
             name: format!("{}-child", self.name),
-            app: Arc::clone(app),
-            items: Arc::clone(&items),
+            app: Rc::clone(app),
+            items: Rc::clone(&items),
             stage,
         });
         let mut cfg = LaunchConfig::new(items.len() as u32, self.child_block);
@@ -467,7 +464,7 @@ impl Kernel for DparOptKernel {
 pub(crate) struct DparOptChildKernel {
     pub name: String,
     pub app: App,
-    pub items: Arc<Vec<u32>>,
+    pub items: Rc<Vec<u32>>,
     pub stage: GBuf<u32>,
 }
 

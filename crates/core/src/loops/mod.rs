@@ -10,8 +10,8 @@
 mod kernels;
 mod spec;
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar_sim::{Gpu, LaunchConfig, Report};
 
@@ -41,7 +41,7 @@ fn reduce_shared(app: &dyn IrregularLoop, block: u32) -> u32 {
 /// Run `app` under `template` and return the batch report.
 pub fn run_loop(
     gpu: &mut Gpu,
-    app: Arc<dyn IrregularLoop>,
+    app: Rc<dyn IrregularLoop>,
     template: LoopTemplate,
     params: &LoopParams,
 ) -> Report {
@@ -68,7 +68,7 @@ fn cover(n: usize, block: u32, params: &LoopParams) -> LaunchConfig {
 fn thread_mapped(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     let n = app.outer_len();
     let name = format!("{}/thread-mapped", app.name());
-    let k = Arc::new(ThreadMappedKernel { name, app });
+    let k = Rc::new(ThreadMappedKernel { name, app });
     gpu.launch(k, cover(n, params.thread_block, params))
         .expect("thread-mapped launch");
     gpu.synchronize()
@@ -81,10 +81,10 @@ fn stream_mapped(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     for (s, start) in (0..n).step_by(chunk.max(1)).enumerate() {
         let len = chunk.min(n - start);
         let name = format!("{}/stream-mapped", app.name());
-        let k = Arc::new(ThreadMappedKernel {
+        let k = Rc::new(ThreadMappedKernel {
             name,
-            app: Arc::new(RangeView {
-                app: Arc::clone(&app),
+            app: Rc::new(RangeView {
+                app: Rc::clone(&app),
                 start,
                 len,
             }),
@@ -141,7 +141,7 @@ fn block_mapped(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     let n = app.outer_len();
     let name = format!("{}/block-mapped", app.name());
     let shared = reduce_shared(app.as_ref(), params.block_block);
-    let k = Arc::new(BlockMappedKernel {
+    let k = Rc::new(BlockMappedKernel {
         name,
         app,
         source: RowSource::All(n),
@@ -160,38 +160,38 @@ fn dual_queue(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     let tails = gpu.alloc::<u32>(2);
     let small_buf = gpu.alloc::<u32>(n);
     let large_buf = gpu.alloc::<u32>(n);
-    let queues = Arc::new(SyncCell::new((Vec::new(), Vec::new())));
-    let build = Arc::new(QueueBuildKernel {
+    let queues = Rc::new(RefCell::new((Vec::new(), Vec::new())));
+    let build = Rc::new(QueueBuildKernel {
         name: format!("{}/dual-queue/build", app.name()),
-        app: Arc::clone(&app),
+        app: Rc::clone(&app),
         lb_thres: params.lb_thres,
         tails,
         small_buf,
         large_buf,
-        queues: Arc::clone(&queues),
+        queues: Rc::clone(&queues),
     });
     gpu.launch(build, cover(n, params.thread_block, params))
         .expect("queue-build launch");
 
     let (small, large) = std::mem::take(&mut *queues.borrow_mut());
     if !small.is_empty() {
-        let k = Arc::new(QueueThreadKernel {
+        let cfg = cover(small.len(), params.thread_block, params);
+        let k = Rc::new(QueueThreadKernel {
             name: format!("{}/dual-queue/small", app.name()),
-            app: Arc::clone(&app),
-            items: Arc::new(small.clone()),
+            app: Rc::clone(&app),
+            items: Rc::new(small),
             buf: small_buf,
         });
-        gpu.launch(k, cover(small.len(), params.thread_block, params))
-            .expect("small-queue launch");
+        gpu.launch(k, cfg).expect("small-queue launch");
     }
     if !large.is_empty() {
         let grid = (large.len() as u32).min(params.max_grid);
         let shared = reduce_shared(app.as_ref(), params.block_block);
-        let k = Arc::new(BlockMappedKernel {
+        let k = Rc::new(BlockMappedKernel {
             name: format!("{}/dual-queue/large", app.name()),
             app,
             source: RowSource::Queue {
-                items: Arc::new(large),
+                items: Rc::new(large),
                 buf: large_buf,
             },
         });
@@ -208,14 +208,14 @@ fn dbuf_global(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     let n = app.outer_len();
     let tail = gpu.alloc::<u32>(1);
     let buf = gpu.alloc::<u32>(n);
-    let buffered = Arc::new(SyncCell::new(Vec::new()));
-    let filter = Arc::new(DbufGlobalFilterKernel {
+    let buffered = Rc::new(RefCell::new(Vec::new()));
+    let filter = Rc::new(DbufGlobalFilterKernel {
         name: format!("{}/dbuf-global/filter", app.name()),
-        app: Arc::clone(&app),
+        app: Rc::clone(&app),
         lb_thres: params.lb_thres,
         tail,
         buf,
-        buffered: Arc::clone(&buffered),
+        buffered: Rc::clone(&buffered),
     });
     gpu.launch(filter, cover(n, params.thread_block, params))
         .expect("dbuf-global filter launch");
@@ -224,11 +224,11 @@ fn dbuf_global(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     if !items.is_empty() {
         let grid = (items.len() as u32).min(params.max_grid);
         let shared = reduce_shared(app.as_ref(), params.block_block);
-        let k = Arc::new(BlockMappedKernel {
+        let k = Rc::new(BlockMappedKernel {
             name: format!("{}/dbuf-global/buffer", app.name()),
             app,
             source: RowSource::Queue {
-                items: Arc::new(items),
+                items: Rc::new(items),
                 buf,
             },
         });
@@ -247,7 +247,7 @@ fn dbuf_shared(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     // The staging region sits below the reduction partials, so the block
     // needs both (the phase-B reduction runs at REDUCE_BASE).
     let shared = DBUF_SHARED_BYTES + reduce_shared(app.as_ref(), params.thread_block);
-    let k = Arc::new(DbufSharedKernel {
+    let k = Rc::new(DbufSharedKernel {
         name,
         app,
         lb_thres: params.lb_thres,
@@ -261,14 +261,14 @@ fn dbuf_shared(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
 fn dpar_naive(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     let n = app.outer_len();
     let name = format!("{}/dpar-naive", app.name());
-    let launched = Arc::new(SyncCell::new(Vec::new()));
-    let k = Arc::new(DparNaiveKernel {
+    let launched = Rc::new(RefCell::new(Vec::new()));
+    let k = Rc::new(DparNaiveKernel {
         name,
-        app: Arc::clone(&app),
+        app: Rc::clone(&app),
         lb_thres: params.lb_thres,
         child_block: params.block_block,
         max_grid: params.max_grid,
-        launched: Arc::clone(&launched),
+        launched: Rc::clone(&launched),
     });
     gpu.launch(k, cover(n, params.thread_block, params))
         .expect("dpar-naive launch");
@@ -279,10 +279,10 @@ fn dpar_naive(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     if !items.is_empty() {
         let buf = gpu.alloc::<u32>(items.len());
         let len = items.len();
-        let k = Arc::new(OuterEndKernel {
+        let k = Rc::new(OuterEndKernel {
             name: format!("{}/dpar-naive/outer-end", app.name()),
             app,
-            items: Arc::new(items),
+            items: Rc::new(items),
             buf,
         });
         gpu.launch(k, cover(len, params.thread_block, params))
@@ -295,7 +295,7 @@ fn dpar_opt(gpu: &mut Gpu, app: App, params: &LoopParams) -> Report {
     let n = app.outer_len();
     let stage = gpu.alloc::<u32>(n);
     let name = format!("{}/dpar-opt", app.name());
-    let k = Arc::new(DparOptKernel {
+    let k = Rc::new(DparOptKernel {
         name,
         app,
         lb_thres: params.lb_thres,

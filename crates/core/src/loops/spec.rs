@@ -23,10 +23,10 @@ use npar_sim::ThreadCtx;
 /// invokes it; the templates differ only in how iterations map to threads,
 /// blocks, buffers and nested grids.
 ///
-/// `Send + Sync` is required because the kernels that hold the loop must
-/// be (the bound on [`npar_sim::Kernel`]); mutable functional state
-/// belongs in [`npar_sim::SyncCell`].
-pub trait IrregularLoop: Send + Sync {
+/// Hooks run on the thread that owns the [`npar_sim::Gpu`], like the
+/// kernels that call them, so mutable functional state belongs in a plain
+/// `RefCell` or `Cell`.
+pub trait IrregularLoop {
     /// Name used to key profiler metrics.
     fn name(&self) -> &str;
 

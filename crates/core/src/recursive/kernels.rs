@@ -1,6 +1,6 @@
 //! Kernels behind the recursive templates (paper Figure 3(c–e)).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar_sim::{BlockCtx, Kernel, KernelRef, LaunchConfig, Stream, ThreadCtx, ThreadKernel};
 use npar_tree::NO_PARENT;
@@ -8,7 +8,7 @@ use npar_tree::NO_PARENT;
 use super::spec::{block_for, TreeReduce};
 use crate::reduce::emit_block_reduce;
 
-pub(crate) type RecApp = Arc<dyn TreeReduce>;
+pub(crate) type RecApp = Rc<dyn TreeReduce>;
 
 /// Fig 3(c): flat thread-mapped kernel. Each thread owns one node and walks
 /// its ancestor chain, atomically folding the node's contribution into every
@@ -51,7 +51,7 @@ impl ThreadKernel for FlatTreeKernel {
 /// atomically folds its (now final) child value into the node — all threads
 /// contending on the same address.
 pub(crate) struct RecNaiveKernel {
-    pub name: Arc<str>,
+    pub name: Rc<str>,
     pub app: RecApp,
     pub node: usize,
     pub streams: u32,
@@ -87,9 +87,9 @@ impl Kernel for RecNaiveKernel {
                 t.ld(&offsets, c);
                 t.ld(&offsets, c + 1);
                 if tree.num_children(c) > 0 {
-                    let child: KernelRef = Arc::new(RecNaiveKernel {
-                        name: Arc::clone(&self.name),
-                        app: Arc::clone(app),
+                    let child: KernelRef = Rc::new(RecNaiveKernel {
+                        name: Rc::clone(&self.name),
+                        app: Rc::clone(app),
                         node: c,
                         streams,
                         max_threads: self.max_threads,
@@ -124,7 +124,7 @@ impl Kernel for RecNaiveKernel {
 /// folds them with a shared-memory reduction. Either way the block leader
 /// performs ONE global atomic folding the finalized child into the node.
 pub(crate) struct RecHierKernel {
-    pub name: Arc<str>,
+    pub name: Rc<str>,
     pub app: RecApp,
     pub node: usize,
     pub streams: u32,
@@ -191,9 +191,9 @@ impl Kernel for RecHierKernel {
 
         if has_grandgrand {
             // Recurse on the child: the nested grid finalizes val[c].
-            let child: KernelRef = Arc::new(RecHierKernel {
-                name: Arc::clone(&self.name),
-                app: Arc::clone(app),
+            let child: KernelRef = Rc::new(RecHierKernel {
+                name: Rc::clone(&self.name),
+                app: Rc::clone(app),
                 node: c,
                 streams: self.streams,
                 max_threads: self.max_threads,

@@ -9,7 +9,7 @@
 mod kernels;
 mod spec;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar_sim::{Gpu, LaunchConfig, Report};
 
@@ -21,7 +21,7 @@ use spec::block_for;
 /// Run `app` under `template` and return the batch report.
 pub fn run_recursive(
     gpu: &mut Gpu,
-    app: Arc<dyn TreeReduce>,
+    app: Rc<dyn TreeReduce>,
     template: RecTemplate,
     params: &RecParams,
 ) -> Report {
@@ -30,7 +30,7 @@ pub fn run_recursive(
     match template {
         RecTemplate::Flat => {
             let n = app.tree().num_nodes();
-            let k = Arc::new(FlatTreeKernel {
+            let k = Rc::new(FlatTreeKernel {
                 name: format!("{}/flat", app.name()),
                 app,
             });
@@ -42,7 +42,7 @@ pub fn run_recursive(
         }
         RecTemplate::RecNaive => {
             if root_children > 0 {
-                let k = Arc::new(RecNaiveKernel {
+                let k = Rc::new(RecNaiveKernel {
                     name: format!("{}/rec-naive", app.name()).into(),
                     app,
                     node: 0,
@@ -55,11 +55,10 @@ pub fn run_recursive(
         }
         RecTemplate::RecHier => {
             if root_children > 0 {
-                let app_rc: Arc<dyn TreeReduce> = app;
-                let cfg = RecHierKernel::config_for(&app_rc, 0, max_threads);
-                let k = Arc::new(RecHierKernel {
-                    name: format!("{}/rec-hier", app_rc.name()).into(),
-                    app: app_rc,
+                let cfg = RecHierKernel::config_for(&app, 0, max_threads);
+                let k = Rc::new(RecHierKernel {
+                    name: format!("{}/rec-hier", app.name()).into(),
+                    app,
                     node: 0,
                     streams: params.streams.max(1),
                     max_threads,

@@ -12,12 +12,9 @@ use npar_tree::Tree;
 ///
 /// Like [`crate::loops::IrregularLoop`], hooks do the *functional* update on
 /// application state and record *timing* on the [`npar_sim::ThreadCtx`]; the
-/// templates only decide the mapping and ordering.
-///
-/// `Send + Sync` is required because the kernels that hold the reduction
-/// must be (the bound on [`npar_sim::Kernel`]); mutable functional state
-/// belongs in [`npar_sim::SyncCell`].
-pub trait TreeReduce: Send + Sync {
+/// templates only decide the mapping and ordering, and mutable functional
+/// state belongs in a plain `RefCell` or `Cell`.
+pub trait TreeReduce {
     /// Name used to key profiler metrics.
     fn name(&self) -> &str;
 

@@ -40,7 +40,7 @@ pub fn emit_block_reduce(blk: &mut BlockCtx<'_>, width: u32, base: u32) {
 #[cfg(test)]
 mod tests {
     use npar_sim::{Gpu, Kernel, LaunchConfig};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     struct ReduceKernel {
         width: u32,
@@ -58,7 +58,7 @@ mod tests {
     fn reduction_emits_log_rounds_of_barriers() {
         let mut gpu = Gpu::k20();
         gpu.launch(
-            Arc::new(ReduceKernel { width: 64 }),
+            Rc::new(ReduceKernel { width: 64 }),
             LaunchConfig::with_shared(1, 64, 256),
         )
         .unwrap();
@@ -73,7 +73,7 @@ mod tests {
     fn width_one_is_free() {
         let mut gpu = Gpu::k20();
         gpu.launch(
-            Arc::new(ReduceKernel { width: 1 }),
+            Rc::new(ReduceKernel { width: 1 }),
             LaunchConfig::with_shared(1, 32, 128),
         )
         .unwrap();
@@ -85,7 +85,7 @@ mod tests {
     fn non_power_of_two_width() {
         let mut gpu = Gpu::k20();
         gpu.launch(
-            Arc::new(ReduceKernel { width: 48 }),
+            Rc::new(ReduceKernel { width: 48 }),
             LaunchConfig::with_shared(1, 64, 256),
         )
         .unwrap();

@@ -3,8 +3,8 @@
 //! template must match the serial recursion — the invariant that makes the
 //! paper's performance comparisons meaningful.
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar_core::{
     run_loop, run_recursive, IrregularLoop, LoopParams, LoopTemplate, RecParams, RecTemplate,
@@ -19,19 +19,19 @@ use rand_chacha::ChaCha8Rng;
 /// j < sizes[i]. Exercises the reduction path.
 struct SumLoop {
     sizes: Vec<usize>,
-    out: SyncCell<Vec<u64>>,
+    out: RefCell<Vec<u64>>,
     a: GBuf<u32>,
     y: GBuf<u64>,
 }
 
 impl SumLoop {
-    fn new(gpu: &mut Gpu, sizes: Vec<usize>) -> Arc<Self> {
+    fn new(gpu: &mut Gpu, sizes: Vec<usize>) -> Rc<Self> {
         let n = sizes.len();
         let total: usize = sizes.iter().sum();
         let a = gpu.alloc::<u32>(total.max(1));
         let y = gpu.alloc::<u64>(n.max(1));
-        Arc::new(SumLoop {
-            out: SyncCell::new(vec![0; n]),
+        Rc::new(SumLoop {
+            out: RefCell::new(vec![0; n]),
             sizes,
             a,
             y,
@@ -191,7 +191,7 @@ fn dpar_opt_launches_at_most_one_child_per_block() {
 /// Tree-descendants as a TreeReduce for template testing.
 struct Desc {
     tree: Tree,
-    vals: SyncCell<Vec<u64>>,
+    vals: RefCell<Vec<u64>>,
     values: GBuf<u64>,
     parents: GBuf<u32>,
     offsets: GBuf<u32>,
@@ -199,10 +199,10 @@ struct Desc {
 }
 
 impl Desc {
-    fn new(gpu: &mut Gpu, tree: Tree) -> Arc<Self> {
+    fn new(gpu: &mut Gpu, tree: Tree) -> Rc<Self> {
         let n = tree.num_nodes();
-        Arc::new(Desc {
-            vals: SyncCell::new(vec![1; n]),
+        Rc::new(Desc {
+            vals: RefCell::new(vec![1; n]),
             values: gpu.alloc::<u64>(n),
             parents: gpu.alloc::<u32>(n),
             offsets: gpu.alloc::<u32>(n + 1),

@@ -111,16 +111,6 @@ pub struct Scope<'env, W> {
 }
 
 impl<'env, W> Scope<'env, W> {
-    /// The lane (0 = scope owner's thread) this handle belongs to.
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// Total lanes in the pool (owner + workers).
-    pub fn lanes(&self) -> usize {
-        self.shared.queues.len()
-    }
-
     /// Queue `f` for execution by any lane. May be called from inside a
     /// running task (nested submission). `f` must not block waiting for
     /// other tasks — only the scope owner joins.
@@ -342,19 +332,27 @@ mod tests {
     fn worker_state_is_per_lane() {
         let p = pool(4);
         let seen = Mutex::new(Vec::new());
+        let record = |w: &mut usize| {
+            let entry = (std::thread::current().id(), *w);
+            seen.lock().unwrap().push(entry);
+        };
         p.scope(|scope, w| {
-            seen.lock().unwrap().push(*w); // lane 0's state
+            record(w); // lane 0's state, on the owner's thread
             for _ in 0..64 {
-                let seen = &seen;
-                scope.spawn(move |s, w| {
-                    assert_eq!(*w, s.lane());
-                    seen.lock().unwrap().push(*w);
-                });
+                let record = &record;
+                scope.spawn(move |_, w| record(w));
             }
         });
         let seen = seen.into_inner().unwrap();
         assert_eq!(seen.len(), 65);
-        assert!(seen.iter().all(|&l| l < 4));
+        assert!(seen.iter().all(|&(_, l)| l < 4));
+        // Each OS thread always gets the same state, and no two threads
+        // share one.
+        for &(t1, w1) in &seen {
+            for &(t2, w2) in &seen {
+                assert_eq!(t1 == t2, w1 == w2, "{t1:?}/{w1} vs {t2:?}/{w2}");
+            }
+        }
     }
 
     #[test]

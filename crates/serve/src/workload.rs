@@ -18,7 +18,7 @@
 //! `salt` — never of global-memory *values* — so a request's `Report` is
 //! independent of whatever previously ran on the worker's `Gpu`.
 
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Instant;
 
 use npar_sim::{
@@ -204,7 +204,9 @@ pub fn validate(req: &Request) -> Result<(), String> {
 /// warp capacity and the clock, and masks addresses by the transaction
 /// size, which must be a power of two. A zero in any other SM capacity
 /// leaves no block resident, so the run would report launch overhead
-/// alone.
+/// alone. A shard runs a single-lane `Gpu`, so `timing_threads` must be 1:
+/// any other value would have a client start timing-pool threads in
+/// every shard.
 fn validate_device(d: &DeviceConfig) -> Result<(), String> {
     let nonzero = [
         ("num_sms", d.num_sms),
@@ -229,6 +231,12 @@ fn validate_device(d: &DeviceConfig) -> Result<(), String> {
         return Err(format!(
             "device.clock_ghz {} is not a positive number",
             d.clock_ghz
+        ));
+    }
+    if d.timing_threads != 1 {
+        return Err(format!(
+            "device.timing_threads {} is not 1",
+            d.timing_threads
         ));
     }
     Ok(())
@@ -381,7 +389,7 @@ impl ThreadKernel for ConsStormParent {
     }
     fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
         let id = t.global_id();
-        let child: KernelRef = Arc::new(ConsChild {
+        let child: KernelRef = Rc::new(ConsChild {
             data: self.data,
             base: id * 128,
         });
@@ -468,7 +476,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
         "regular-wave" => {
             let x = gpu.alloc::<f32>(threads * 2 + 31 * 499 + 200);
             let y = gpu.alloc::<f32>(threads);
-            let k = Arc::new(RegularWave { x, y });
+            let k = Rc::new(RegularWave { x, y });
             for _ in 0..d.launches {
                 if over(deadline) {
                     return Ok(Drive::DeadlineHit);
@@ -483,7 +491,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
                 if over(deadline) {
                     return Ok(Drive::DeadlineHit);
                 }
-                let k = Arc::new(DivergentSweep {
+                let k = Rc::new(DivergentSweep {
                     n,
                     salt: d.salt.wrapping_add(u64::from(l)),
                     data,
@@ -493,8 +501,8 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
         }
         "dp-storm" => {
             let data = gpu.alloc::<f32>(4 * 64 * 3 + 4 * 64);
-            let child: KernelRef = Arc::new(StormChild { data });
-            let k = Arc::new(StormParent {
+            let child: KernelRef = Rc::new(StormChild { data });
+            let k = Rc::new(StormParent {
                 child,
                 salt: d.salt,
             });
@@ -509,7 +517,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
             // One private 128-element slice per parent thread (see
             // MAX_CONS_PARENT_THREADS for the shape bound this implies).
             let data = gpu.alloc::<f32>(threads * 128 + 128);
-            let k = Arc::new(ConsStormParent { data, salt: d.salt });
+            let k = Rc::new(ConsStormParent { data, salt: d.salt });
             for _ in 0..d.launches {
                 if over(deadline) {
                     return Ok(Drive::DeadlineHit);
@@ -519,7 +527,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
         }
         "stream-storm" => {
             let data = gpu.alloc::<f32>(threads);
-            let k = Arc::new(StreamBurst { data });
+            let k = Rc::new(StreamBurst { data });
             for s in 0..d.streams {
                 for _ in 0..d.launches {
                     if over(deadline) {
@@ -536,7 +544,7 @@ pub fn drive(gpu: &mut Gpu, req: &Request, deadline: Option<Instant>) -> Result<
                 if over(deadline) {
                     return Ok(Drive::DeadlineHit);
                 }
-                let k = Arc::new(MonteCarlo {
+                let k = Rc::new(MonteCarlo {
                     out,
                     salt: d.salt.wrapping_add(u64::from(l) << 32),
                 });
@@ -609,7 +617,7 @@ mod tests {
         r.dataset.grid = 32;
         assert!(validate(&r).is_ok());
         type Set = fn(&mut DeviceConfig);
-        let unrunnable: [Set; 7] = [
+        let unrunnable: [Set; 9] = [
             |d| d.warp_size = 0,
             |d| d.warp_size = 48,
             |d| d.warp_size = 128,
@@ -617,6 +625,8 @@ mod tests {
             |d| d.num_sms = 0,
             |d| d.mem_transaction_bytes = 96,
             |d| d.clock_ghz = f64::NAN,
+            |d| d.timing_threads = 0,
+            |d| d.timing_threads = usize::MAX,
         ];
         for set in unrunnable {
             let mut r = Request::new("dp-storm");

@@ -380,6 +380,14 @@ fn full_queue_sheds_and_zero_timeout_times_out() {
             Err(SubmitError::Invalid(e)) if e.contains("warp_size")
         ));
     }
+    // The timing pass's lane count is not the client's to set: a second
+    // lane would start a pool thread in the shard.
+    let mut bad = tiny_request("regular-wave", 0);
+    bad.device.timing_threads = 2;
+    assert!(matches!(
+        service.submit(&bad),
+        Err(SubmitError::Invalid(e)) if e.contains("timing_threads")
+    ));
     let resp = service
         .submit(&tiny_request("regular-wave", 0))
         .unwrap()

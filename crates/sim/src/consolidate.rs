@@ -503,7 +503,6 @@ mod tests {
             depth: u32::from(matches!(origin, Origin::Device { .. })),
             blocks,
             children: Vec::new(),
-            kernel: None,
         }
     }
 

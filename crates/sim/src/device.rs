@@ -14,10 +14,14 @@ use crate::sched::simulate_full;
 
 /// A simulated GPU.
 ///
+/// A `Gpu` stays on the thread that creates it (it is not `Send`): its
+/// kernels are [`crate::KernelRef`]s and run there. Simulate in parallel
+/// by giving each thread its own `Gpu`.
+///
 /// Usage mirrors a CUDA host program:
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use npar_sim::{Gpu, LaunchConfig, ThreadKernel, ThreadCtx};
 ///
 /// struct Saxpy { n: usize, x: npar_sim::GBuf<f32>, y: npar_sim::GBuf<f32> }
@@ -37,7 +41,7 @@ use crate::sched::simulate_full;
 /// let mut gpu = Gpu::k20();
 /// let x = gpu.alloc::<f32>(1024);
 /// let y = gpu.alloc::<f32>(1024);
-/// gpu.launch(Arc::new(Saxpy { n: 1024, x, y }), LaunchConfig::cover(1024, 192, 1 << 20)).unwrap();
+/// gpu.launch(Rc::new(Saxpy { n: 1024, x, y }), LaunchConfig::cover(1024, 192, 1 << 20)).unwrap();
 /// let report = gpu.synchronize();
 /// assert!(report.cycles > 0.0);
 /// assert!((report.total().warp_execution_efficiency() - 1.0).abs() < 1e-9);
@@ -301,7 +305,7 @@ impl Gpu {
     /// Builder-style [`Gpu::set_profiler`].
     ///
     /// ```
-    /// use std::sync::Arc;
+    /// use std::rc::Rc;
     /// use npar_sim::{Gpu, LaunchConfig, ThreadKernel, ThreadCtx};
     ///
     /// struct Ping;
@@ -311,7 +315,7 @@ impl Gpu {
     /// }
     ///
     /// let mut gpu = Gpu::k20().with_profiler(true);
-    /// gpu.launch(Arc::new(Ping), LaunchConfig::new(4, 64)).unwrap();
+    /// gpu.launch(Rc::new(Ping), LaunchConfig::new(4, 64)).unwrap();
     /// let report = gpu.synchronize();
     /// let profile = gpu.take_profile();
     /// assert_eq!(profile.kernels.len(), 1);
@@ -454,6 +458,7 @@ impl Gpu {
             .count() as u64;
         let device_launches = self.engine.grids.len() as u64 - host_launches;
         self.engine.grids.clear();
+        self.engine.kernels.clear();
         self.engine.host_seq = 0;
         let hazards = self.engine.check.batch_count();
         self.engine.check.reset_batch();
@@ -508,12 +513,12 @@ mod tests {
     use super::*;
     use crate::ctx::ThreadCtx;
     use crate::kernel::ThreadKernel;
-    use crate::sync::SyncCell;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     struct CountKernel {
         n: usize,
-        hits: Arc<SyncCell<Vec<u32>>>,
+        hits: Rc<RefCell<Vec<u32>>>,
     }
     impl ThreadKernel for CountKernel {
         fn name(&self) -> &str {
@@ -530,12 +535,60 @@ mod tests {
         }
     }
 
+    /// A parent whose first `launches` threads each fire one `child` grid
+    /// and never join it.
+    struct Spawner {
+        child: KernelRef,
+        launches: u32,
+    }
+    impl ThreadKernel for Spawner {
+        fn name(&self) -> &str {
+            "spawner"
+        }
+        fn run_thread(&self, t: &mut ThreadCtx<'_, '_>) {
+            t.compute(1);
+            if t.thread_idx() < self.launches {
+                t.launch(&self.child, LaunchConfig::new(2, 64), Stream::Default);
+            }
+        }
+    }
+
+    #[test]
+    fn synchronize_releases_kernels() {
+        // Grid consolidation merges the four sibling children into one.
+        for (mode, device_launches) in [
+            (crate::ConsolidateMode::Off, 4),
+            (crate::ConsolidateMode::Grid, 1),
+        ] {
+            let mut gpu = Gpu::tiny().with_consolidation(mode);
+            let hits = Rc::new(RefCell::new(vec![0u32; 64]));
+            let host = Rc::new(CountKernel {
+                n: 64,
+                hits: Rc::clone(&hits),
+            });
+            let child: KernelRef = Rc::new(CountKernel { n: 64, hits });
+            let parent = Rc::new(Spawner {
+                child: Rc::clone(&child),
+                launches: 4,
+            });
+            gpu.launch(host.clone(), LaunchConfig::new(1, 64)).unwrap();
+            gpu.launch(parent.clone(), LaunchConfig::new(1, 32))
+                .unwrap();
+            let report = gpu.synchronize();
+            assert_eq!(report.device_launches, device_launches, "{mode}");
+            assert_eq!(Rc::strong_count(&host), 1, "{mode}");
+            assert_eq!(Rc::strong_count(&parent), 1, "{mode}");
+            drop(parent);
+            assert_eq!(Rc::strong_count(&child), 1, "{mode}");
+        }
+    }
+
     #[test]
     fn grid_stride_covers_every_item_once() {
         let mut gpu = Gpu::tiny();
         let n = 1000;
-        let hits = Arc::new(SyncCell::new(vec![0u32; n]));
-        let k = Arc::new(CountKernel {
+        let hits = Rc::new(RefCell::new(vec![0u32; n]));
+        let k = Rc::new(CountKernel {
             n,
             hits: hits.clone(),
         });
@@ -550,8 +603,8 @@ mod tests {
     #[test]
     fn synchronize_resets_batch() {
         let mut gpu = Gpu::tiny();
-        let hits = Arc::new(SyncCell::new(vec![0u32; 10]));
-        let k = Arc::new(CountKernel {
+        let hits = Rc::new(RefCell::new(vec![0u32; 10]));
+        let k = Rc::new(CountKernel {
             n: 10,
             hits: hits.clone(),
         });
@@ -566,16 +619,16 @@ mod tests {
     #[test]
     fn launch_rejects_oversized_block() {
         let mut gpu = Gpu::tiny();
-        let hits = Arc::new(SyncCell::new(vec![0u32; 1]));
-        let k = Arc::new(CountKernel { n: 1, hits });
+        let hits = Rc::new(RefCell::new(vec![0u32; 1]));
+        let k = Rc::new(CountKernel { n: 1, hits });
         assert!(gpu.launch(k, LaunchConfig::new(1, 4096)).is_err());
     }
 
     #[test]
     fn reports_merge_across_batches() {
         let mut gpu = Gpu::tiny();
-        let hits = Arc::new(SyncCell::new(vec![0u32; 64]));
-        let k = Arc::new(CountKernel {
+        let hits = Rc::new(RefCell::new(vec![0u32; 64]));
+        let k = Rc::new(CountKernel {
             n: 64,
             hits: hits.clone(),
         });

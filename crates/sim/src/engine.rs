@@ -10,6 +10,7 @@
 //! here.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::block::{finalize_block, BlockOutcome};
@@ -42,11 +43,11 @@ pub(crate) enum Origin {
     },
 }
 
-/// A grid registered for execution. Device-launched grids are *deferred*:
-/// `kernel` holds the pending work until the parent reaches a
-/// `sync_children` barrier or completes (the CUDA ordering — a child never
-/// runs before its launching warp proceeds). Once executed, `kernel` is
-/// dropped and `blocks` is populated.
+/// A grid registered for execution: the timing data the scheduler reads,
+/// shared read-only with the timing pool's lanes. The grid's kernel waits
+/// in [`Engine::kernels`] until the grid executes; once it has, `blocks`
+/// is populated.
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct GridTask {
     /// Kernel name (diagnostics and consolidation key on it), shared with
     /// the grid's [`KernelClass`].
@@ -60,8 +61,6 @@ pub(crate) struct GridTask {
     pub depth: u32,
     pub blocks: Vec<BlockOutcome>,
     pub children: Vec<usize>,
-    /// Pending functional work (None once executed).
-    pub kernel: Option<KernelRef>,
 }
 
 /// One kernel class: every grid of one kernel name. Interned at the
@@ -83,6 +82,12 @@ pub(crate) struct Engine {
     pub device: DeviceConfig,
     pub cost: CostModel,
     pub grids: Vec<GridTask>,
+    /// Pending functional work, indexed like `grids`: `None` once the grid
+    /// has executed. Device-launched grids are *deferred* until the parent
+    /// reaches a `sync_children` barrier or completes (the CUDA ordering —
+    /// a child never runs before its launching warp proceeds). Cleared at
+    /// synchronize, so no kernel outlives its batch.
+    pub kernels: Vec<Option<KernelRef>>,
     /// Interned kernel classes, in order of first registration.
     pub classes: Vec<KernelClass>,
     /// Class index by kernel name.
@@ -142,6 +147,7 @@ impl Engine {
             device,
             cost,
             grids: Vec::new(),
+            kernels: Vec::new(),
             classes: Vec::new(),
             class_ids: BTreeMap::new(),
             host_seq: 0,
@@ -262,8 +268,8 @@ pub(crate) fn register_grid(
         depth,
         blocks: Vec::with_capacity(cfg.grid_dim as usize),
         children: Vec::new(),
-        kernel: Some(Arc::clone(kernel)),
     });
+    engine.kernels.push(Some(Rc::clone(kernel)));
     if let Origin::Device { parent, .. } = origin {
         engine.grids[parent].children.push(id);
         if engine.analysis_active() {
@@ -287,7 +293,7 @@ pub(crate) fn register_grid(
 /// parallel executor's path for single-block grids, where fan-out buys
 /// nothing (hence `pub(crate)`).
 pub(crate) fn execute_blocks(engine: &mut Engine, id: usize) {
-    let Some(kernel) = engine.grids[id].kernel.take() else {
+    let Some(kernel) = engine.kernels[id].take() else {
         return; // already executed
     };
     let task = &engine.grids[id];
@@ -507,7 +513,7 @@ mod tests {
     #[test]
     fn executes_all_blocks_and_threads() {
         let mut e = Engine::new(DeviceConfig::tiny(), CostModel::default());
-        let k: KernelRef = Arc::new(Noop);
+        let k: KernelRef = Rc::new(Noop);
         let id = register_grid(
             &mut e,
             &k,
@@ -516,7 +522,7 @@ mod tests {
         );
         assert_eq!(id, 0);
         assert_eq!(e.grids[0].blocks.len(), 3);
-        assert!(e.grids[0].kernel.is_none(), "host grid runs immediately");
+        assert!(e.kernels[0].is_none(), "host grid runs immediately");
         let m = &e.take_metrics()["noop"];
         assert_eq!(m.grids, 1);
         assert_eq!(m.blocks, 3);

@@ -2,7 +2,7 @@
 //! trait implemented by every simulated GPU kernel.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::ctx::BlockCtx;
 
@@ -107,7 +107,10 @@ impl BlockState {
 /// the barrier are visible after it) and records the barrier for timing.
 /// Blocks run one at a time, in block order, on the thread that owns the
 /// [`crate::Gpu`], so a block sees the functional writes of every
-/// lower-numbered block of its grid.
+/// lower-numbered block of its grid. A kernel never leaves that thread
+/// (only its recorded traces reach the host worker pool), so it needs no
+/// `Send` or `Sync`: mutable application state lives in a `RefCell` or
+/// `Cell`, shared with the host program through an `Rc`.
 ///
 /// Kernels that need no barrier typically implement [`ThreadKernel`] instead
 /// and get this trait via the blanket impl.
@@ -116,7 +119,7 @@ impl BlockState {
 /// quickstart example:
 ///
 /// ```
-/// use std::sync::Arc;
+/// use std::rc::Rc;
 /// use npar_sim::{BlockCtx, Gpu, Kernel, LaunchConfig};
 ///
 /// /// Stage values into shared memory, barrier, then read them back.
@@ -137,11 +140,11 @@ impl BlockState {
 /// }
 ///
 /// let mut gpu = Gpu::k20();
-/// gpu.launch(Arc::new(StageAndSum), LaunchConfig::new(8, 64)).unwrap();
+/// gpu.launch(Rc::new(StageAndSum), LaunchConfig::new(8, 64)).unwrap();
 /// let report = gpu.synchronize();
 /// assert_eq!(report.total().barriers, 8); // one per block
 /// ```
-pub trait Kernel: Send + Sync {
+pub trait Kernel {
     /// Kernel name, used to key profiler metrics (like `nvprof` does).
     fn name(&self) -> &str;
 
@@ -155,8 +158,9 @@ pub trait Kernel: Send + Sync {
 }
 
 /// Convenience trait for barrier-free kernels: implement a per-thread body
-/// and get a [`Kernel`] via the blanket impl.
-pub trait ThreadKernel: Send + Sync {
+/// and get a [`Kernel`] via the blanket impl. Like [`Kernel`], it runs on
+/// the thread that owns the [`crate::Gpu`] and needs no `Send` or `Sync`.
+pub trait ThreadKernel {
     /// Kernel name, used to key profiler metrics.
     fn name(&self) -> &str;
 
@@ -176,7 +180,7 @@ impl<K: ThreadKernel> Kernel for K {
 
 /// Shared-ownership handle to a kernel, as required for device-side
 /// launches (a child kernel must outlive the launching scope).
-pub type KernelRef = Arc<dyn Kernel>;
+pub type KernelRef = Rc<dyn Kernel>;
 
 #[cfg(test)]
 mod tests {

@@ -60,7 +60,6 @@ mod parallel;
 pub mod prof;
 pub mod profiler;
 mod sched;
-mod sync;
 mod trace;
 mod warp;
 
@@ -77,4 +76,3 @@ pub use handle::{GBuf, GlobalAllocator};
 pub use kernel::{BlockState, Kernel, KernelRef, LaunchConfig, Stream, ThreadKernel};
 pub use prof::{BlockSpan, KernelSpan, LaunchFlow, Profile};
 pub use profiler::{KernelMetrics, Report, SimStats, StallCycles};
-pub use sync::SyncCell;

@@ -450,7 +450,7 @@ pub(crate) fn run_subtree_par(engine: &mut Engine, id: usize) {
 /// (the exact serial order of every side effect), defer alignment, flush
 /// in chunks.
 fn execute_blocks_par(engine: &mut Engine, id: usize) {
-    if engine.grids[id].kernel.is_none() {
+    if engine.kernels[id].is_none() {
         return; // already executed
     }
     let cfg = engine.grids[id].cfg;
@@ -459,7 +459,7 @@ fn execute_blocks_par(engine: &mut Engine, id: usize) {
         // result is identical by construction.
         return crate::engine::execute_blocks(engine, id);
     }
-    let Some(kernel) = engine.grids[id].kernel.take() else {
+    let Some(kernel) = engine.kernels[id].take() else {
         return;
     };
     let memo_enabled = engine.memo.is_some();

@@ -1550,7 +1550,6 @@ mod tests {
             depth: 0,
             blocks,
             children,
-            kernel: None,
         }
     }
 
@@ -1801,29 +1800,9 @@ mod tests {
                 vec![],
             )
         };
-        let serial = simulate(
-            &[parent.clone_for_test(), mk_child(0), mk_child(0)],
-            &d,
-            &c,
-            None,
-        );
+        let serial = simulate(&[parent.clone(), mk_child(0), mk_child(0)], &d, &c, None);
         let parallel = simulate(&[parent, mk_child(0), mk_child(1)], &d, &c, None);
         assert!(parallel.makespan < serial.makespan);
-    }
-
-    impl GridTask {
-        fn clone_for_test(&self) -> GridTask {
-            GridTask {
-                name: self.name.clone(),
-                class: self.class,
-                cfg: self.cfg,
-                origin: self.origin,
-                depth: self.depth,
-                blocks: self.blocks.clone(),
-                children: self.children.clone(),
-                kernel: None,
-            }
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Public-API semantics of the simulator: deferred child execution,
 //! parent/child joins, stream behaviour and the profiling surface.
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar_sim::{
     BlockCtx, CostModel, DeviceConfig, Gpu, Kernel, KernelRef, LaunchConfig, Stream, ThreadCtx,
@@ -11,7 +11,7 @@ use npar_sim::{
 
 /// Child kernel that appends a tag to a shared log.
 struct Tag {
-    log: Arc<SyncCell<Vec<&'static str>>>,
+    log: Rc<RefCell<Vec<&'static str>>>,
     tag: &'static str,
 }
 impl ThreadKernel for Tag {
@@ -29,7 +29,7 @@ impl ThreadKernel for Tag {
 /// Parent that launches a child and logs around the launch, optionally
 /// joining it.
 struct Parent {
-    log: Arc<SyncCell<Vec<&'static str>>>,
+    log: Rc<RefCell<Vec<&'static str>>>,
     join: bool,
 }
 impl Kernel for Parent {
@@ -37,9 +37,9 @@ impl Kernel for Parent {
         "parent"
     }
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let log = Arc::clone(&self.log);
-        let child: KernelRef = Arc::new(Tag {
-            log: Arc::clone(&self.log),
+        let log = Rc::clone(&self.log);
+        let child: KernelRef = Rc::new(Tag {
+            log: Rc::clone(&self.log),
             tag: "child",
         });
         blk.for_each_thread(|t| {
@@ -62,11 +62,11 @@ impl Kernel for Parent {
 
 #[test]
 fn children_are_deferred_until_join() {
-    let log = Arc::new(SyncCell::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let mut gpu = Gpu::k20();
     gpu.launch(
-        Arc::new(Parent {
-            log: Arc::clone(&log),
+        Rc::new(Parent {
+            log: Rc::clone(&log),
             join: true,
         }),
         LaunchConfig::new(1, 32),
@@ -82,11 +82,11 @@ fn children_are_deferred_until_join() {
 
 #[test]
 fn fire_and_forget_children_run_by_grid_completion() {
-    let log = Arc::new(SyncCell::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let mut gpu = Gpu::k20();
     gpu.launch(
-        Arc::new(Parent {
-            log: Arc::clone(&log),
+        Rc::new(Parent {
+            log: Rc::clone(&log),
             join: false,
         }),
         LaunchConfig::new(1, 32),
@@ -104,15 +104,15 @@ fn fire_and_forget_children_run_by_grid_completion() {
 
 /// Grand-parent joining a child whose own child must also be complete.
 struct Grand {
-    log: Arc<SyncCell<Vec<&'static str>>>,
+    log: Rc<RefCell<Vec<&'static str>>>,
 }
 impl Kernel for Grand {
     fn name(&self) -> &str {
         "grand"
     }
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let mid: KernelRef = Arc::new(Mid {
-            log: Arc::clone(&self.log),
+        let mid: KernelRef = Rc::new(Mid {
+            log: Rc::clone(&self.log),
         });
         blk.for_each_thread(|t| {
             if t.is_leader() {
@@ -120,7 +120,7 @@ impl Kernel for Grand {
             }
         });
         blk.sync_children();
-        let log = Arc::clone(&self.log);
+        let log = Rc::clone(&self.log);
         blk.for_each_thread(move |t| {
             if t.is_leader() {
                 log.borrow_mut().push("grand-after-join");
@@ -129,18 +129,18 @@ impl Kernel for Grand {
     }
 }
 struct Mid {
-    log: Arc<SyncCell<Vec<&'static str>>>,
+    log: Rc<RefCell<Vec<&'static str>>>,
 }
 impl Kernel for Mid {
     fn name(&self) -> &str {
         "mid"
     }
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
-        let leaf: KernelRef = Arc::new(Tag {
-            log: Arc::clone(&self.log),
+        let leaf: KernelRef = Rc::new(Tag {
+            log: Rc::clone(&self.log),
             tag: "leaf",
         });
-        let log = Arc::clone(&self.log);
+        let log = Rc::clone(&self.log);
         blk.for_each_thread(|t| {
             if t.is_leader() {
                 log.borrow_mut().push("mid");
@@ -153,11 +153,11 @@ impl Kernel for Mid {
 
 #[test]
 fn join_covers_the_whole_subtree() {
-    let log = Arc::new(SyncCell::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let mut gpu = Gpu::k20();
     gpu.launch(
-        Arc::new(Grand {
-            log: Arc::clone(&log),
+        Rc::new(Grand {
+            log: Rc::clone(&log),
         }),
         LaunchConfig::new(1, 32),
     )
@@ -184,7 +184,7 @@ impl ThreadKernel for Skewed {
 #[test]
 fn divergence_shows_in_public_metrics() {
     let mut gpu = Gpu::k20();
-    gpu.launch(Arc::new(Skewed), LaunchConfig::new(1, 32))
+    gpu.launch(Rc::new(Skewed), LaunchConfig::new(1, 32))
         .unwrap();
     let r = gpu.synchronize();
     let eff = r.total().warp_execution_efficiency();
@@ -207,17 +207,15 @@ fn host_streams_overlap_long_kernels() {
     }
     let serial = {
         let mut gpu = Gpu::k20();
-        gpu.launch(Arc::new(Busy), LaunchConfig::new(1, 32))
-            .unwrap();
-        gpu.launch(Arc::new(Busy), LaunchConfig::new(1, 32))
-            .unwrap();
+        gpu.launch(Rc::new(Busy), LaunchConfig::new(1, 32)).unwrap();
+        gpu.launch(Rc::new(Busy), LaunchConfig::new(1, 32)).unwrap();
         gpu.synchronize().cycles
     };
     let overlapped = {
         let mut gpu = Gpu::k20();
-        gpu.launch_in(Arc::new(Busy), LaunchConfig::new(1, 32), Stream::Slot(0))
+        gpu.launch_in(Rc::new(Busy), LaunchConfig::new(1, 32), Stream::Slot(0))
             .unwrap();
-        gpu.launch_in(Arc::new(Busy), LaunchConfig::new(1, 32), Stream::Slot(1))
+        gpu.launch_in(Rc::new(Busy), LaunchConfig::new(1, 32), Stream::Slot(1))
             .unwrap();
         gpu.synchronize().cycles
     };
@@ -246,7 +244,7 @@ fn cost_model_is_respected() {
             ..Default::default()
         };
         let mut gpu = Gpu::new(DeviceConfig::kepler_k20(), cost);
-        gpu.launch(Arc::new(Alu), LaunchConfig::new(1, 32)).unwrap();
+        gpu.launch(Rc::new(Alu), LaunchConfig::new(1, 32)).unwrap();
         gpu.synchronize().cycles
     };
     let one = time(1.0);

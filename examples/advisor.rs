@@ -24,7 +24,7 @@
 //! trace-level counterpart of `npar_core::advise_loop` (which works from
 //! host-side loop shape instead).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::sim::{CheckLevel, GBuf, Gpu, LaunchConfig, ThreadCtx, ThreadKernel};
 
@@ -79,7 +79,7 @@ fn main() {
     let n = 64 * 128;
     let x = gpu.alloc::<f32>(n);
     let y = gpu.alloc::<f32>(n);
-    let saxpy = Arc::new(Saxpy { n, x, y });
+    let saxpy = Rc::new(Saxpy { n, x, y });
     for _ in 0..4 {
         gpu.launch(saxpy.clone(), LaunchConfig::new(64, 128))
             .expect("saxpy is hazard-free");
@@ -87,7 +87,7 @@ fn main() {
 
     // --- irregular kernel ---------------------------------------------
     let data = gpu.alloc::<f32>(n);
-    let skewed = Arc::new(Skewed { n, data });
+    let skewed = Rc::new(Skewed { n, data });
     for _ in 0..4 {
         gpu.launch(skewed.clone(), LaunchConfig::new(64, 128))
             .expect("skewed loop is hazard-free");

@@ -14,7 +14,7 @@
 //! cargo run --release --example hazard_check
 //! ```
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::sim::{BlockCtx, CheckLevel, Gpu, Kernel, LaunchConfig};
 
@@ -58,7 +58,7 @@ fn main() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let err = gpu
         .launch(
-            Arc::new(DelayedBuffer {
+            Rc::new(DelayedBuffer {
                 atomic_counter: false,
             }),
             cfg,
@@ -68,7 +68,7 @@ fn main() {
 
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     gpu.launch(
-        Arc::new(DelayedBuffer {
+        Rc::new(DelayedBuffer {
             atomic_counter: true,
         }),
         cfg,

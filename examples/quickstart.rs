@@ -5,8 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar::core::{run_loop, IrregularLoop, LoopParams, LoopTemplate};
 use npar::sim::{GBuf, Gpu, ThreadCtx};
@@ -16,7 +16,7 @@ struct Rows {
     sizes: Vec<usize>,
     data: GBuf<f32>,
     out: GBuf<f32>,
-    sums: SyncCell<Vec<f32>>,
+    sums: RefCell<Vec<f32>>,
 }
 
 impl IrregularLoop for Rows {
@@ -59,11 +59,11 @@ fn main() {
     let mut baseline = None;
     for template in LoopTemplate::ALL {
         let mut gpu = Gpu::k20();
-        let app = Arc::new(Rows {
+        let app = Rc::new(Rows {
             sizes: sizes.clone(),
             data: gpu.alloc::<f32>(4096),
             out: gpu.alloc::<f32>(n),
-            sums: SyncCell::new(vec![0.0; n]),
+            sums: RefCell::new(vec![0.0; n]),
         });
         let report = run_loop(&mut gpu, app, template, &LoopParams::default());
         let base = *baseline.get_or_insert(report.seconds);

@@ -5,8 +5,8 @@
 //! cargo run --release --example template_advisor
 //! ```
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar::core::{advise_loop, advise_tree, run_loop, IrregularLoop, LoopShape, LoopTemplate};
 use npar::sim::{GBuf, Gpu, ThreadCtx};
@@ -14,7 +14,7 @@ use npar::tree::TreeGen;
 
 struct Rows {
     sizes: Vec<usize>,
-    out: SyncCell<Vec<u64>>,
+    out: RefCell<Vec<u64>>,
     buf: GBuf<u64>,
 }
 
@@ -46,7 +46,7 @@ fn demo_loop(label: &str, sizes: Vec<usize>) {
     let mut gpu = Gpu::k20();
     let probe = Rows {
         sizes: sizes.clone(),
-        out: SyncCell::new(vec![0; n]),
+        out: RefCell::new(vec![0; n]),
         buf: gpu.alloc(n),
     };
     let shape = LoopShape::measure(&probe);
@@ -67,9 +67,9 @@ fn demo_loop(label: &str, sizes: Vec<usize>) {
         .iter()
         .map(|&template| {
             let mut gpu = Gpu::k20();
-            let app = Arc::new(Rows {
+            let app = Rc::new(Rows {
                 sizes: sizes.clone(),
-                out: SyncCell::new(vec![0; n]),
+                out: RefCell::new(vec![0; n]),
                 buf: gpu.alloc(n),
             });
             let r = run_loop(&mut gpu, app, template, &advice.params);

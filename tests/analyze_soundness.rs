@@ -9,7 +9,7 @@
 //! * on a clean repetitive workload elision must actually engage — the
 //!   differential assertions must not pass vacuously.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::sim::{
     BlockCtx, CheckLevel, GBuf, Gpu, Kernel, KernelRef, LaunchConfig, Report, SimError, SimStats,
@@ -161,7 +161,7 @@ fn analyze_seeded(
 fn seeded_shared_race_is_never_proven() {
     let k = analyze_seeded("seeded-shared-race", |gpu| {
         gpu.launch(
-            Arc::new(SharedRaceKernel),
+            Rc::new(SharedRaceKernel),
             LaunchConfig::with_shared(2, 64, 4),
         )
         .unwrap();
@@ -174,7 +174,7 @@ fn seeded_global_race_is_never_proven() {
     let mut buf = None;
     let k = analyze_seeded("seeded-global-race", |gpu| {
         let buf = *buf.get_or_insert_with(|| gpu.alloc::<u32>(64));
-        gpu.launch(Arc::new(GlobalRaceKernel { buf }), LaunchConfig::new(2, 32))
+        gpu.launch(Rc::new(GlobalRaceKernel { buf }), LaunchConfig::new(2, 32))
             .unwrap();
     });
     assert!(
@@ -188,7 +188,7 @@ fn seeded_global_race_is_never_proven() {
 fn seeded_shared_oob_is_never_proven() {
     let k = analyze_seeded("seeded-shared-oob", |gpu| {
         gpu.launch(
-            Arc::new(OobKernel { declared: 128 }),
+            Rc::new(OobKernel { declared: 128 }),
             LaunchConfig::with_shared(2, 32, 128),
         )
         .unwrap();
@@ -201,9 +201,9 @@ fn seeded_unjoined_child_read_is_never_proven() {
     let mut buf = None;
     analyze_seeded("seeded-unjoined-read", |gpu| {
         let buf = *buf.get_or_insert_with(|| gpu.alloc::<u32>(32));
-        let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+        let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
         gpu.launch(
-            Arc::new(ForgetfulParent { child, buf }),
+            Rc::new(ForgetfulParent { child, buf }),
             LaunchConfig::new(1, 32),
         )
         .unwrap();
@@ -215,10 +215,10 @@ fn seeded_invalid_child_launch_is_never_proven() {
     let mut buf = None;
     analyze_seeded("seeded-bad-launch", |gpu| {
         let buf = *buf.get_or_insert_with(|| gpu.alloc::<u32>(32));
-        let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+        let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
         // Warn records the structural fault and continues.
         let _ = gpu.launch(
-            Arc::new(BadLauncher {
+            Rc::new(BadLauncher {
                 child,
                 block_dim: 4096,
             }),
@@ -233,7 +233,7 @@ fn clean_twin_is_proven_and_elides() {
     // first clean grid and elide identical blocks from then on.
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(64);
-    let k = Arc::new(DisjointWriteKernel { buf });
+    let k = Rc::new(DisjointWriteKernel { buf });
     for _ in 0..3 {
         gpu.launch(k.clone(), LaunchConfig::new(2, 32)).unwrap();
     }
@@ -331,7 +331,7 @@ fn inject_race(rng: &mut ChaCha8Rng, plan: &mut [Vec<Vec<PlanOp>>]) {
 /// report) plus the drained check report rendered to text.
 fn strict_outcome(plan: &[Vec<Vec<PlanOp>>], elide: bool) -> (Result<Report, String>, String, u64) {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict).with_elide(elide);
-    let k = Arc::new(PlanKernel {
+    let k = Rc::new(PlanKernel {
         plan: plan.to_vec(),
     });
     for _ in 0..3 {
@@ -415,7 +415,7 @@ fn saxpy_strict(gpu: &mut Gpu, launches: usize) -> Report {
     let n = 64 * 128;
     let x = gpu.alloc::<f32>(n);
     let y = gpu.alloc::<f32>(n);
-    let k = Arc::new(Saxpy { n, x, y });
+    let k = Rc::new(Saxpy { n, x, y });
     for _ in 0..launches {
         gpu.launch(k.clone(), LaunchConfig::new(64, 128)).unwrap();
     }

@@ -6,7 +6,7 @@
 //! * every loop template, recursive template, sort and graph app the repo
 //!   ships must run hazard-clean under `Strict` on its standard datasets.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::apps::{bc, bfs, pagerank, sort, spmv, sssp, tree_apps};
 use npar::core::{LoopParams, LoopTemplate, RecParams, RecTemplate};
@@ -142,7 +142,7 @@ fn seeded_shared_race_is_detected_and_located() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let err = gpu
         .launch(
-            Arc::new(SharedRaceKernel),
+            Rc::new(SharedRaceKernel),
             LaunchConfig::with_shared(1, 64, 4),
         )
         .unwrap_err();
@@ -160,7 +160,7 @@ fn seeded_global_race_is_detected_across_blocks() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(64);
     let err = gpu
-        .launch(Arc::new(GlobalRaceKernel { buf }), LaunchConfig::new(2, 32))
+        .launch(Rc::new(GlobalRaceKernel { buf }), LaunchConfig::new(2, 32))
         .unwrap_err();
     let hazards = hazards_of(err);
     assert_eq!(hazards[0].kind, HazardKind::GlobalRace);
@@ -176,7 +176,7 @@ fn disjoint_writes_pass_strict() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(64);
     gpu.launch(
-        Arc::new(DisjointWriteKernel { buf }),
+        Rc::new(DisjointWriteKernel { buf }),
         LaunchConfig::new(2, 32),
     )
     .unwrap();
@@ -188,7 +188,7 @@ fn seeded_shared_oob_is_detected() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let err = gpu
         .launch(
-            Arc::new(OobKernel { declared: 128 }),
+            Rc::new(OobKernel { declared: 128 }),
             LaunchConfig::with_shared(1, 32, 128),
         )
         .unwrap_err();
@@ -205,10 +205,10 @@ fn seeded_shared_oob_is_detected() {
 fn seeded_unjoined_child_read_is_linted() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(32);
-    let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+    let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
     let err = gpu
         .launch(
-            Arc::new(ForgetfulParent {
+            Rc::new(ForgetfulParent {
                 child,
                 buf,
                 join: false,
@@ -229,9 +229,9 @@ fn seeded_unjoined_child_read_is_linted() {
 fn joined_child_read_passes_strict() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
     let buf = gpu.alloc::<u32>(32);
-    let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+    let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
     gpu.launch(
-        Arc::new(ForgetfulParent {
+        Rc::new(ForgetfulParent {
             child,
             buf,
             join: true,
@@ -248,10 +248,10 @@ fn seeded_invalid_child_launch_is_fatal_even_with_checks_off() {
     let mut gpu = Gpu::k20(); // CheckLevel::Off is the default
     assert_eq!(gpu.check_level(), CheckLevel::Off);
     let buf = gpu.alloc::<u32>(32);
-    let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+    let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
     let err = gpu
         .launch(
-            Arc::new(BadLauncher {
+            Rc::new(BadLauncher {
                 child,
                 block_dim: 4096,
             }),
@@ -277,10 +277,10 @@ fn unplaceable_child_block_is_an_invalid_child_launch() {
     };
     let mut gpu = Gpu::new(device, CostModel::default());
     let buf = gpu.alloc::<u32>(32);
-    let child: KernelRef = Arc::new(ChildWriter { buf, n: 32 });
+    let child: KernelRef = Rc::new(ChildWriter { buf, n: 32 });
     let err = gpu
         .launch(
-            Arc::new(BadLauncher {
+            Rc::new(BadLauncher {
                 child,
                 block_dim: 256,
             }),
@@ -300,7 +300,7 @@ fn unplaceable_child_block_is_an_invalid_child_launch() {
 fn warn_level_records_and_continues() {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Warn);
     gpu.launch(
-        Arc::new(SharedRaceKernel),
+        Rc::new(SharedRaceKernel),
         LaunchConfig::with_shared(1, 64, 4),
     )
     .expect("Warn must not fail the launch");
@@ -318,7 +318,7 @@ fn warn_level_records_and_continues() {
 fn off_level_ignores_races() {
     let mut gpu = Gpu::k20(); // Off
     gpu.launch(
-        Arc::new(SharedRaceKernel),
+        Rc::new(SharedRaceKernel),
         LaunchConfig::with_shared(1, 64, 4),
     )
     .unwrap();
@@ -420,7 +420,7 @@ fn randomized_shared_plans_are_classified_exactly() {
         }
         let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
         let result = gpu.launch(
-            Arc::new(PlanKernel { plan }),
+            Rc::new(PlanKernel { plan }),
             LaunchConfig::with_shared(1, LANES as u32, PLAN_SHARED),
         );
         match (racy, result) {
@@ -466,7 +466,7 @@ fn randomized_global_strides_are_classified_exactly() {
         let mut gpu = Gpu::k20().with_check(CheckLevel::Strict);
         let buf = gpu.alloc::<u32>(total);
         let result = gpu.launch(
-            Arc::new(StrideKernel { buf, modulus }),
+            Rc::new(StrideKernel { buf, modulus }),
             LaunchConfig::new(blocks, bd),
         );
         match (racy, result) {

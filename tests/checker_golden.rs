@@ -11,7 +11,7 @@
 //! combinations no hand-written case names. Any change to what the checker
 //! reports, or in which order, fails here with the first differing line.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::sim::{
     BlockCtx, CheckLevel, GBuf, Gpu, Kernel, KernelRef, LaunchConfig, Stream, ThreadCtx,
@@ -189,14 +189,14 @@ fn run_case(
 ) -> String {
     let mut gpu = Gpu::k20().with_check(CheckLevel::Warn);
     let bufs = Bufs::alloc(&mut gpu);
-    let child: KernelRef = Arc::new(ChildWriter { bufs });
+    let child: KernelRef = Rc::new(ChildWriter { bufs });
     let k = Script {
         name,
         blocks,
         bufs,
         child,
     };
-    gpu.launch(Arc::new(k), LaunchConfig::with_shared(grid, block, shared))
+    gpu.launch(Rc::new(k), LaunchConfig::with_shared(grid, block, shared))
         .expect("Warn records hazards without failing the launch");
     let counted = gpu.synchronize().hazards;
     let report = gpu.take_check_report();

@@ -5,7 +5,7 @@
 //! at every checker level. Only [`SimStats`] (wall time, hit counters) may
 //! differ between the two modes.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::apps::{bfs, sort, spmv, sssp, tree_apps};
 use npar::core::{LoopParams, LoopTemplate, RecParams, RecTemplate};
@@ -123,7 +123,7 @@ fn launch_saxpy(gpu: &mut Gpu, launches: usize) -> Report {
     let n = 64 * 128;
     let x = gpu.alloc::<f32>(n);
     let y = gpu.alloc::<f32>(n);
-    let k = Arc::new(Saxpy { n, x, y });
+    let k = Rc::new(Saxpy { n, x, y });
     for _ in 0..launches {
         gpu.launch(k.clone(), LaunchConfig::new(64, 128)).unwrap();
     }
@@ -198,7 +198,7 @@ fn bypassed_class_probes_one_block_per_stride_across_grids() {
     let grids = 256;
     let mut gpu = Gpu::k20();
     for salt in 0..grids {
-        let k = Arc::new(Unique { salt: salt * 64 });
+        let k = Rc::new(Unique { salt: salt * 64 });
         gpu.launch(k, LaunchConfig::new(1, 32)).unwrap();
     }
     let r = gpu.synchronize();

@@ -6,7 +6,7 @@
 //! and off, at every checker level. Only [`SimStats`] (wall time, cache
 //! hit/miss counters) may depend on the thread count.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::apps::{bfs, sort, spmv, sssp, tree_apps};
 use npar::core::{LoopParams, LoopTemplate, RecParams, RecTemplate};
@@ -156,7 +156,7 @@ fn launch_saxpy(gpu: &mut Gpu, launches: usize) -> Report {
     let n = 64 * 128;
     let x = gpu.alloc::<f32>(n);
     let y = gpu.alloc::<f32>(n);
-    let k = Arc::new(Saxpy { n, x, y });
+    let k = Rc::new(Saxpy { n, x, y });
     for _ in 0..launches {
         gpu.launch(k.clone(), LaunchConfig::new(64, 128)).unwrap();
     }
@@ -222,7 +222,7 @@ impl Kernel for RecSpawn {
         });
         blk.sync();
         if depth > 0 {
-            let child: KernelRef = Arc::new(RecSpawn {
+            let child: KernelRef = Rc::new(RecSpawn {
                 depth: depth - 1,
                 data: self.data,
             });
@@ -239,7 +239,7 @@ impl Kernel for RecSpawn {
 fn launch_rec_spawn(gpu: &mut Gpu) -> Report {
     let data = gpu.alloc::<f32>(4096);
     gpu.launch(
-        Arc::new(RecSpawn { depth: 3, data }),
+        Rc::new(RecSpawn { depth: 3, data }),
         LaunchConfig::new(16, 64),
     )
     .unwrap();
@@ -279,7 +279,7 @@ impl Kernel for BadLauncher {
 
     fn run_block(&self, blk: &mut BlockCtx<'_>) {
         blk.for_each_thread(|t| t.compute(1));
-        let child: KernelRef = Arc::new(BadLauncher);
+        let child: KernelRef = Rc::new(BadLauncher);
         blk.leader(|t| {
             // block_dim 4096 exceeds every device limit: recorded as an
             // InvalidChildLaunch hazard, the child is dropped.
@@ -291,12 +291,12 @@ impl Kernel for BadLauncher {
 #[test]
 fn invalid_child_launch_hazards_are_thread_invariant() {
     assert_thread_invariant("bad-launcher", CheckLevel::Warn, true, |gpu| {
-        gpu.launch(Arc::new(BadLauncher), LaunchConfig::new(12, 32))
+        gpu.launch(Rc::new(BadLauncher), LaunchConfig::new(12, 32))
             .unwrap();
         gpu.synchronize()
     });
     let mut gpu = Gpu::k20().with_check(CheckLevel::Warn).with_threads(8);
-    gpu.launch(Arc::new(BadLauncher), LaunchConfig::new(12, 32))
+    gpu.launch(Rc::new(BadLauncher), LaunchConfig::new(12, 32))
         .unwrap();
     let r = gpu.synchronize();
     assert_eq!(r.hazards, 12, "one invalid-launch hazard per block");

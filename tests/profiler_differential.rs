@@ -8,7 +8,7 @@
 //! The same sweeps also pin the stall-attribution invariant: per kernel,
 //! the seven buckets partition the attributed cycles exactly.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::apps::{bfs, sort, spmv, sssp, tree_apps};
 use npar::core::{LoopParams, LoopTemplate, RecParams, RecTemplate};
@@ -163,7 +163,7 @@ fn launch_saxpy(gpu: &mut Gpu, launches: usize) -> Report {
     let n = 64 * 128;
     let x = gpu.alloc::<f32>(n);
     let y = gpu.alloc::<f32>(n);
-    let k = Arc::new(Saxpy { n, x, y });
+    let k = Rc::new(Saxpy { n, x, y });
     for _ in 0..launches {
         gpu.launch(k.clone(), LaunchConfig::new(64, 128)).unwrap();
     }

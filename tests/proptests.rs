@@ -9,8 +9,8 @@
 //! * sorts sort, whatever the input;
 //! * profiler metrics stay within their physical bounds.
 
-use npar_sim::SyncCell;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use npar::core::{
     run_loop, run_recursive, IrregularLoop, LoopParams, LoopTemplate, RecParams, RecTemplate,
@@ -27,7 +27,7 @@ use rand_chacha::ChaCha8Rng;
 /// violations.
 struct MixLoop {
     sizes: Vec<usize>,
-    out: SyncCell<Vec<u64>>,
+    out: RefCell<Vec<u64>>,
     buf: GBuf<u64>,
 }
 
@@ -87,8 +87,8 @@ fn any_loop_template_matches_serial() {
         let lb = rng.gen_range(0usize..200);
 
         let mut gpu = Gpu::k20();
-        let app = Arc::new(MixLoop {
-            out: SyncCell::new(vec![0; sizes.len()]),
+        let app = Rc::new(MixLoop {
+            out: RefCell::new(vec![0; sizes.len()]),
             buf: gpu.alloc::<u64>(sizes.len().max(1)),
             sizes: sizes.clone(),
         });
@@ -139,8 +139,8 @@ fn any_tree_template_matches_serial() {
             expect[p] += expect[v];
         }
         let mut gpu = Gpu::k20();
-        let app = Arc::new(PropDesc {
-            vals: SyncCell::new(vec![1; n]),
+        let app = Rc::new(PropDesc {
+            vals: RefCell::new(vec![1; n]),
             values: gpu.alloc::<u64>(n),
             parents: gpu.alloc::<u32>(n),
             offsets: gpu.alloc::<u32>(n + 1),
@@ -237,7 +237,7 @@ fn tree_generation_invariants() {
 
 struct PropDesc {
     tree: npar::tree::Tree,
-    vals: SyncCell<Vec<u64>>,
+    vals: RefCell<Vec<u64>>,
     values: GBuf<u64>,
     parents: GBuf<u32>,
     offsets: GBuf<u32>,
@@ -313,7 +313,7 @@ fn accepted_launches_place_every_block() {
         let cfg =
             LaunchConfig::with_shared(rng.gen_range(1u32..=6), rng.gen_range(1u32..=1024), shared);
         let mut gpu = Gpu::new(device.clone(), CostModel::default()).with_profiler(true);
-        match gpu.launch(Arc::new(OneCompute), cfg) {
+        match gpu.launch(Rc::new(OneCompute), cfg) {
             Err(SimError::InvalidLaunch(_)) => {
                 refused += 1;
                 assert!(

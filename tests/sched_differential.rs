@@ -7,7 +7,7 @@
 //! modes, 1/2/8 timing-pass lanes, 1 and 8 host threads, and strict
 //! checking. Only [`SimStats`] (wall time, counters) may differ.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use npar::apps::{bfs, sort, spmv, sssp, tree_apps};
 use npar::core::{LoopParams, LoopTemplate, RecParams, RecTemplate};
@@ -162,7 +162,7 @@ fn launch_saxpy_streams(gpu: &mut Gpu, launches: usize, streams: u32) -> Report 
     let n = 64 * 128;
     let x = gpu.alloc::<f32>(n);
     let y = gpu.alloc::<f32>(n);
-    let k = Arc::new(Saxpy { n, x, y });
+    let k = Rc::new(Saxpy { n, x, y });
     for i in 0..launches {
         gpu.launch_in(
             k.clone(),
@@ -295,7 +295,7 @@ impl ThreadKernel for UniformCompute {
 }
 
 fn launch_uniform(gpu: &mut Gpu, blocks: u32, streams: u32, cycles: u32) -> Report {
-    let k = Arc::new(UniformCompute { cycles });
+    let k = Rc::new(UniformCompute { cycles });
     let smem = gpu.device().shared_mem_per_block;
     for s in 0..streams {
         gpu.launch_in(
